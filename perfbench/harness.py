@@ -78,6 +78,43 @@ def process_peak_rss_mb(pid: int) -> float:
     raise RuntimeError(f"no VmHWM for pid {pid}")
 
 
+def _children(pid: int) -> List[int]:
+    """Direct children of ``pid``, from every thread's ``children``
+    list (a child belongs to the thread that forked it)."""
+    out: List[int] = []
+    try:
+        tasks = os.listdir(f"/proc/{pid}/task")
+    except OSError:
+        return out
+    for task in tasks:
+        try:
+            with open(f"/proc/{pid}/task/{task}/children") as handle:
+                out.extend(int(child) for child in handle.read().split())
+        except OSError:
+            pass
+    return out
+
+
+def tree_peak_rss_mb(pid: int) -> tuple:
+    """Sum of the peak resident memory (``VmHWM``) of ``pid`` and every
+    live descendant, in MiB, with the number of processes summed.
+
+    The sum covers the worker processes a daemon hands its jobs to, not
+    only the daemon itself. It is an upper bound on the tree's
+    simultaneous peak: the processes need not peak at the same moment,
+    and pages they share are counted once in each."""
+    total, processes, pending = 0.0, 0, [pid]
+    while pending:
+        current = pending.pop()
+        try:
+            total += process_peak_rss_mb(current)
+        except (OSError, RuntimeError):
+            continue  # ended between listing and reading
+        processes += 1
+        pending.extend(_children(current))
+    return total, processes
+
+
 def host_cpu_ticks() -> List[int]:
     """The machine-wide CPU time counters of ``/proc/stat`` (user, nice,
     system, idle, iowait, irq, softirq, steal, ...), or ``[]`` where
@@ -136,16 +173,21 @@ def tail(values: Sequence[float], cap: float) -> Tail:
 class Budget:
     """Closed-loop run-length control: keep starting units of work
     until the next one, at the median duration seen so far, would end
-    past the deadline — but always at least ``min_units``."""
+    past the deadline — but always at least ``min_units``, and never
+    more than ``max_units``."""
 
-    def __init__(self, seconds: float, min_units: int = 1):
+    def __init__(self, seconds: float, min_units: int = 1,
+                 max_units: Optional[int] = None):
         self.deadline = time.perf_counter() + seconds
         self.min_units = min_units
+        self.max_units = max_units
         self.durations: List[float] = []
 
     def more(self) -> bool:
         if len(self.durations) < self.min_units:
             return True
+        if self.max_units is not None and len(self.durations) >= self.max_units:
+            return False
         estimate = statistics.median(self.durations)
         return time.perf_counter() + estimate <= self.deadline
 
@@ -172,7 +214,12 @@ def time_subprocess_ready(argv: List[str]) -> float:
     return ready
 
 
-def probe_setup(workload: str, seed: int, repeats: int = 3) -> List[float]:
+#: set-ups per run; ``setup_s`` is their median
+SETUP_REPEATS = 5
+
+
+def probe_setup(workload: str, seed: int,
+                repeats: int = SETUP_REPEATS) -> List[float]:
     """Set-up times of an in-process workload: a fresh interpreter that
     imports the layers the workload uses and constructs its objects,
     ``repeats`` times."""
@@ -220,17 +267,34 @@ def median(values: Sequence[float]) -> float:
     return statistics.median(values) if values else 0.0
 
 
+def check_spans(tracer, required: Sequence[str],
+                notes: Dict[str, object]) -> bool:
+    """Whether every span in ``required`` fired at least once. A layer
+    the workload runs must never read 0 because its wrap stopped
+    catching calls: a missing span makes the run incorrect, and is
+    named on a ``#`` line."""
+    missing = tracer.missing(required)
+    if missing:
+        notes["missing_spans"] = missing
+    return not missing
+
+
 def finish_trace(tracer, workload: str, seed: int, metrics: Dict[str, tuple],
                  notes: Dict[str, object],
-                 traced_s: Optional[float] = None) -> None:
+                 traced_s: Optional[float] = None,
+                 root: Optional[str] = None) -> None:
     """Write the spans under :data:`WORK`. When ``traced_s`` (the host
     seconds the traced operations took) is given, also report each
-    span name's self time as a share of it, and the share all spans
-    account for as ``trace.accounted_share``."""
+    span name's self time as a share of it, and the share the layer
+    spans account for as ``trace.accounted_share``. The self time of
+    ``root``, a span that wraps a whole operation, is left out of that
+    sum: the self times of a span tree add up to its root's duration,
+    so counting the root would make the share 1 by construction."""
     if traced_s:
         self_times = tracer.self_times()
         metrics["trace.accounted_share"] = (
-            sum(self_times.values()) / traced_s, "ratio")
+            sum(value for name, value in self_times.items() if name != root)
+            / traced_s, "ratio")
         notes["self_time_share"] = {
             name: round(value / traced_s, 4) for name, value in
             sorted(self_times.items(), key=lambda item: -item[1])}

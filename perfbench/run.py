@@ -81,7 +81,8 @@ def main(argv=None) -> int:
         harness.steal_share(ticks, harness.host_cpu_ticks()), 4)
 
     # report exactly the metrics BENCHMARK.json defines for this mode; a
-    # layer the workload does not run reads 0
+    # layer the workload does not run reads 0 (a layer it does run but
+    # whose spans never fired has already made the run incorrect)
     wanted = benchmark["per_layer" if args.trace else "end_to_end"]
     units = {entry["name"]: entry["unit"] for entry in wanted}
     unknown = sorted(set(result.metrics) - set(units))

@@ -136,6 +136,12 @@ class Tracer:
 
     # -- analysis ----------------------------------------------------------
 
+    def missing(self, names) -> List[str]:
+        """The names among ``names`` that recorded no span: a layer the
+        workload runs but whose wrap caught no call."""
+        fired = {span[0] for span in self.spans}
+        return [name for name in names if name not in fired]
+
     def busy(self) -> Dict[str, float]:
         """Total duration per span name."""
         out: Dict[str, float] = defaultdict(float)

@@ -41,6 +41,10 @@ from spans import Tracer
 
 SCHEMES = ("np", "guardnn-c", "guardnn-ci", "bp")
 REWRITTEN = ("guardnn-ci", "bp")
+#: the spans a traced run must record: every layer this workload runs
+SPANS = (("workloads.batch", "pipeline.run")
+         + tuple("protection.rewrite." + name for name in REWRITTEN)
+         + tuple("mem.controller." + name for name in SCHEMES))
 VARIANTS = 16
 PINS = os.path.join(harness.HERE, "pins.json")
 
@@ -195,10 +199,13 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> harness.Result
         }
         return harness.Result(attempted, failed, failed == 0, metrics, notes)
 
+    spans_ok = harness.check_spans(tracer, SPANS, notes)
     metrics = layer_metrics(tracer, len(walls[True]), pinned, source_requests)
     traced_wall = harness.median(walls[True])
     untraced_wall = harness.median(walls[False])
     metrics["trace.overhead_s"] = (traced_wall - untraced_wall, "s")
     notes.update(traced_wall_s=traced_wall, untraced_wall_s=untraced_wall)
-    harness.finish_trace(tracer, workload, seed, metrics, notes, sum(walls[True]))
-    return harness.Result(attempted, failed, failed == 0, metrics, notes)
+    harness.finish_trace(tracer, workload, seed, metrics, notes,
+                         sum(walls[True]), root="pipeline.run")
+    return harness.Result(attempted, failed, failed == 0 and spans_ok,
+                          metrics, notes)

@@ -47,6 +47,11 @@ MIN_ROUNDS = 14
 INSTRUCTIONS = ("GetPK", "InitSession", "SetWeight", "SetInput",
                 "SetReadCTR", "Forward", "ExportOutput", "SignOutput")
 
+#: the spans a traced run must record: every layer this workload runs
+SPANS = (("crypto.cmac", "crypto.sha256", "crypto.ctr", "crypto.ecc")
+         + tuple("core.execute." + name for name in INSTRUCTIONS)
+         + ("core.mpu_write", "core.mpu_read", "core.seal", "core.verify"))
+
 
 def build_device(seed: int):
     """The manufacturer CA and the one device every session uses."""
@@ -191,8 +196,10 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> harness.Result
         return harness.Result(attempted, failed, failed == 0, metrics, notes)
 
     traced = latencies[True]
+    spans_ok = harness.check_spans(tracer, SPANS, notes)
     metrics = layer_metrics(tracer, len(traced))
     metrics["trace.overhead_s"] = (
         harness.median(traced) - harness.median(latencies[False]), "s")
     harness.finish_trace(tracer, workload, seed, metrics, notes, sum(traced))
-    return harness.Result(attempted, failed, failed == 0, metrics, notes)
+    return harness.Result(attempted, failed, failed == 0 and spans_ok,
+                          metrics, notes)

@@ -4,15 +4,25 @@
 
 The daemon gets a fresh cache directory inside the checkout; its pool
 width and ``--max-running`` are ``min(2, nproc)``. Two client threads of
-this process share one seeded flight stream. One *round* is eight
+this process share one seeded flight stream. One *round* is nine
 flights, shuffled:
 
-* three new fig3-style grids: the nine paper networks split into three
-  seeded triples, each x the four schemes x one seeded batch (1-256) x
-  one mode (training only for triples without DLRM, as in Figure 3b);
-* three repeats of grids from earlier rounds (the generator records
+* six new fig3-style grids: twice, the nine paper networks split into
+  three seeded triples, each x the four schemes x one seeded batch
+  (1-1024) x one mode (training only for triples without DLRM, as in
+  Figure 3b);
+* two repeats of grids from earlier rounds (the generator records
   which flights repeat; the daemon's in-process memo answers them);
-* two small ``streaming`` pipeline flights (64 KiB - 1 MiB, distinct).
+* one small ``streaming`` pipeline flight (64 KiB - 1 MiB, distinct).
+
+No trace of real traffic to the service exists to take this mix from,
+so it is chosen for what the metric should mean: new grids are two
+thirds of the flights, so the median flight lies among the new grids
+(near their first quartile), and ``latency_p50_s`` times the service
+and runner overhead on grids that the serve tier's later changes
+target. Repeats take a few milliseconds and the pipeline flight
+3-120 ms; together they are a third of the flights, too few to set the
+median. The ``#`` line ``p50_by_kind_s`` shows the median of each kind.
 
 A warm-up round of three grids runs before the measured rounds, so the
 first round already has grids to repeat and the daemon's pool is warm.
@@ -48,10 +58,16 @@ from spans import Tracer
 SCHEMES = ["np", "guardnn-c", "guardnn-ci", "bp"]
 CLIENTS = 2
 TAIL_CAP = 90.0
-#: 13 rounds x 8 flights >= 100 samples, so p90 has ten beyond it
-MIN_ROUNDS = 13
-SETUP_REPEATS = 3
-MAX_BATCH = 256
+#: 12 rounds x 9 flights >= 100 samples, so p90 has ten beyond it
+MIN_ROUNDS = 12
+#: a grid's host time does not depend on its batch, so a wide batch
+#: range only keeps new grids new: DLRM, inference only, takes two of
+#: its 1024 points a round, and MAX_ROUNDS keeps the draw far from
+#: running out however fast the program gets
+MAX_BATCH = 1024
+MAX_ROUNDS = 400
+#: the spans a traced run must record: every layer this workload runs
+SPANS = ("service.flight", "experiments.runner", "accel.run")
 
 
 class FlightStream:
@@ -96,18 +112,17 @@ class FlightStream:
 
     def round(self) -> List[dict]:
         history = list(self.grids)
-        flights = self._new_grids()
+        flights = self._new_grids() + self._new_grids()
         self.grids.extend(flight["body"] for flight in flights)
         flights += [self._flight("repeat", self.rng.choice(history))
-                    for _ in range(3)]
-        for _ in range(2):
+                    for _ in range(2)]
+        size = self.rng.randint(1 << 10, 1 << 14) * 64
+        while size in self._sizes:
             size = self.rng.randint(1 << 10, 1 << 14) * 64
-            while size in self._sizes:
-                size = self.rng.randint(1 << 10, 1 << 14) * 64
-            self._sizes.add(size)
-            flights.append(self._flight("pipeline", {
-                "kind": "pipeline", "workload": "streaming",
-                "schemes": SCHEMES, "params": {"nbytes": size}}))
+        self._sizes.add(size)
+        flights.append(self._flight("pipeline", {
+            "kind": "pipeline", "workload": "streaming",
+            "schemes": SCHEMES, "params": {"nbytes": size}}))
         self.rng.shuffle(flights)
         return flights
 
@@ -237,11 +252,11 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> harness.Result
         return os.path.join(harness.WORK, f"serve-cache-{os.getpid()}-{i}")
 
     setup: List[float] = []
-    for i in range(SETUP_REPEATS - 1):
+    for i in range(harness.SETUP_REPEATS - 1):
         daemon = Daemon(cache_dir(i), width)
         setup.append(daemon.setup_s)
         daemon.stop()
-    daemon = Daemon(cache_dir(SETUP_REPEATS - 1), width)
+    daemon = Daemon(cache_dir(harness.SETUP_REPEATS - 1), width)
     setup.append(daemon.setup_s)
 
     stream = FlightStream(seed)
@@ -260,14 +275,21 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> harness.Result
             play(stream.warmup(), False)
             measured_from = len(outcomes)
             rounds: Dict[bool, List[float]] = {False: [], True: []}
-            budget = harness.Budget(seconds, MIN_ROUNDS)
+            budget = harness.Budget(seconds, MIN_ROUNDS, MAX_ROUNDS)
             while budget.more():
                 # a traced run alternates untraced and traced rounds
                 traced = trace and len(budget.durations) % 2 == 1
                 rounds[traced].append(play(stream.round(), traced))
                 budget.record(rounds[traced][-1])
+                if len(budget.durations) == MIN_ROUNDS:
+                    # the daemon hands grids to its pool workers: count
+                    # the whole process tree, so the metric covers the
+                    # processes that run them. Read after a fixed number
+                    # of rounds: the daemon's memo grows with every new
+                    # grid, so a later reading would grow with speed.
+                    tree_rss, tree_processes = harness.tree_peak_rss_mb(
+                        daemon.proc.pid)
         server = daemon.client.metrics()
-        daemon_rss = harness.process_peak_rss_mb(daemon.proc.pid)
     finally:
         daemon.stop()
 
@@ -309,6 +331,7 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> harness.Result
             for kind in ("grid", "repeat", "pipeline")},
         "server_cache_hits_total": counters["cache_hits_total"],
         "daemon_width": width,
+        "daemon_tree_processes": tree_processes,
     }
     if not trace:
         t = harness.tail(latencies, TAIL_CAP)
@@ -319,7 +342,7 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> harness.Result
             "latency_p50_s": (harness.percentile(latencies, 50.0), "s"),
             "latency_tail_s": (t.value, "s"),
             "requests_per_s": (len(measured) / sum(all_rounds), "1/s"),
-            "peak_rss_mb": (daemon_rss, "MB"),
+            "peak_rss_mb": (tree_rss, "MB"),
         }
         return harness.Result(len(outcomes), failed, failed == 0, metrics, notes)
 
@@ -328,6 +351,7 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> harness.Result
     fresh = [o for o in measured if o["flight"]["kind"] != "repeat"]
     grids = len({o["flight"]["key"] for o in outcomes
                  if o["flight"]["body"]["kind"] == "sweep"})
+    spans_ok = harness.check_spans(tracer, SPANS, notes)
     busy = tracer.busy()
     metrics = {
         "service.server_flight_p50_s": (server["latency"]["p50_s"], "s"),
@@ -343,4 +367,5 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> harness.Result
         "trace.overhead_s": (harness.median(traced) - harness.median(plain), "s"),
     }
     harness.finish_trace(tracer, workload, seed, metrics, notes)
-    return harness.Result(len(outcomes), failed, failed == 0, metrics, notes)
+    return harness.Result(len(outcomes), failed, failed == 0 and spans_ok,
+                          metrics, notes)
