@@ -740,8 +740,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "SIGINT before forced shutdown")
     p.add_argument("--chunk-timeout", type=_positive_float, default=None,
                    metavar="SECS",
-                   help="per-chunk sweep timeout; a chunk exceeding it marks "
-                        "the worker pool lost and triggers redispatch")
+                   help="per-chunk sweep deadline, counted from chunk start "
+                        "in the worker; a chunk exceeding it kills its "
+                        "worker and triggers redispatch")
     p.add_argument("--chunk-retries", type=_nonneg_int, default=2,
                    help="redispatch budget for lost sweep chunks")
     p.add_argument("--distributed", action="store_true",

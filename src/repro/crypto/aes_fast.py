@@ -5,9 +5,9 @@ by operation — readable and auditable, but it pays ~300 Python-level
 byte operations per block.  Hardware AES engines (the paper's pipelined
 FPGA/ASIC cores) instead accept a block per cycle; this module is the
 software analogue: the classic 32-bit T-table formulation, evaluated
-over *many blocks at once* with numpy gathers when numpy is available
-(one fancy-indexing pass per table per round services the whole batch)
-and with a tight per-block loop otherwise.
+over *many blocks at once* with numpy gathers (one fancy-indexing pass
+per table per round services the whole batch) and with a tight
+per-block loop for single blocks.
 
 Auditability is preserved: the T-tables are derived **at import time
 from the first-principles S-box** in :mod:`repro.crypto.aes` (itself
@@ -25,12 +25,9 @@ from __future__ import annotations
 import functools
 from typing import List, Tuple
 
-from repro.crypto.aes import _SBOX, _RCON, _xtime, BLOCK_SIZE, KEY_SIZE, ROUNDS
+import numpy as _np
 
-try:  # numpy accelerates the batch kernel but is not required
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
+from repro.crypto.aes import _SBOX, _RCON, _xtime, BLOCK_SIZE, KEY_SIZE, ROUNDS
 
 
 def _build_t_tables() -> Tuple[List[int], ...]:
@@ -52,12 +49,11 @@ def _build_t_tables() -> Tuple[List[int], ...]:
 
 _T0, _T1, _T2, _T3 = _build_t_tables()
 
-if _np is not None:
-    _NP_T0 = _np.array(_T0, dtype=_np.uint32)
-    _NP_T1 = _np.array(_T1, dtype=_np.uint32)
-    _NP_T2 = _np.array(_T2, dtype=_np.uint32)
-    _NP_T3 = _np.array(_T3, dtype=_np.uint32)
-    _NP_SBOX = _np.array(_SBOX, dtype=_np.uint32)
+_NP_T0 = _np.array(_T0, dtype=_np.uint32)
+_NP_T1 = _np.array(_T1, dtype=_np.uint32)
+_NP_T2 = _np.array(_T2, dtype=_np.uint32)
+_NP_T3 = _np.array(_T3, dtype=_np.uint32)
+_NP_SBOX = _np.array(_SBOX, dtype=_np.uint32)
 
 
 @functools.lru_cache(maxsize=256)
@@ -149,7 +145,7 @@ def encrypt_blocks(key: bytes, data: bytes) -> bytes:
         raise ValueError("data must be a multiple of 16 bytes")
     rk = expand_key_words(key)
     n = len(data) // BLOCK_SIZE
-    if _np is not None and n > 1:
+    if n > 1:
         words = _np.frombuffer(data, dtype=">u4").astype(_np.uint32).reshape(n, 4)
         return _encrypt_batch_numpy(rk, words).astype(">u4").tobytes()
     out = bytearray()
@@ -185,7 +181,7 @@ def keystream(key: bytes, initial_counter_int: int, nblocks: int) -> bytes:
     """CTR keystream: encrypt ``nblocks`` consecutive big-endian counter
     values starting at ``initial_counter_int`` (mod 2^128)."""
     rk = expand_key_words(key)
-    if _np is not None and nblocks > 1:
+    if nblocks > 1:
         hi = (initial_counter_int >> 64) & 0xFFFFFFFFFFFFFFFF
         lo = initial_counter_int & 0xFFFFFFFFFFFFFFFF
         idx = _np.arange(nblocks, dtype=_np.uint64)
@@ -222,7 +218,7 @@ def keystream_for_region(key: bytes, base_address: int, version_number: int,
     per-block 128-bit Python ints are ever materialized, unlike the
     generic :func:`keystream_for_counters` entry point."""
     rk = expand_key_words(key)
-    if _np is not None and nblocks > 1:
+    if nblocks > 1:
         hi = _np.uint64(base_address) + _np.arange(nblocks, dtype=_np.uint64)
         words = _np.empty((nblocks, 4), dtype=_np.uint32)
         words[:, 0] = (hi >> _np.uint64(32)).astype(_np.uint32)
@@ -239,7 +235,7 @@ def keystream_for_counters(key: bytes, counters) -> bytes:
     GuardNN ``(address || VN)`` form, one per 16-byte memory block)."""
     rk = expand_key_words(key)
     counters = list(counters)
-    if _np is not None and len(counters) > 1:
+    if len(counters) > 1:
         return _encrypt_batch_numpy(rk, _counter_words(counters)).astype(">u4").tobytes()
     out = bytearray()
     for c in counters:
@@ -256,7 +252,7 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
     """XOR two equal-length byte strings (vectorized when possible)."""
     if len(a) != len(b):
         raise ValueError("xor operands must have equal length")
-    if _np is not None and len(a) >= 64:
+    if len(a) >= 64:
         return (
             _np.frombuffer(a, dtype=_np.uint8) ^ _np.frombuffer(b, dtype=_np.uint8)
         ).tobytes()

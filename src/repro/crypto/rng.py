@@ -81,12 +81,20 @@ class HmacDrbg:
 
     def random_int_below(self, bound: int) -> int:
         """Uniform integer in [0, bound) by rejection sampling; used for
-        nonce/key generation in the EC layer."""
+        nonce/key generation in the EC layer.
+
+        The "simple discard" method of NIST SP 800-90A Rev. 1 §A.5.1:
+        each draw is masked to ``bound.bit_length()`` bits before the
+        comparison, so at least half of all draws are accepted. For a
+        byte-aligned bound (the 256-bit P-256 order) the mask keeps
+        every bit and the outputs are those of an unmasked draw."""
         if bound <= 0:
             raise ValueError("bound must be positive")
-        nbytes = (bound.bit_length() + 7) // 8
+        bits = bound.bit_length()
+        nbytes = (bits + 7) // 8
+        mask = (1 << bits) - 1
         while True:
-            candidate = int.from_bytes(self.generate(nbytes), "big")
+            candidate = int.from_bytes(self.generate(nbytes), "big") & mask
             if candidate < bound:
                 return candidate
 

@@ -32,19 +32,15 @@ from __future__ import annotations
 
 from typing import Iterable, List, Sequence
 
+import numpy as _np
+
 from repro import perf
 from repro.crypto.sha256 import _H0, _K, sha256
 
-try:  # numpy accelerates the lane kernel but is not required
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
-
 _BLOCK = 64
 
-if _np is not None:
-    _NP_K = _np.array(_K, dtype=_np.uint32)
-    _NP_H0 = _np.array(_H0, dtype=_np.uint32)
+_NP_K = _np.array(_K, dtype=_np.uint32)
+_NP_H0 = _np.array(_H0, dtype=_np.uint32)
 
 
 def _rotr(x, r: int):
@@ -123,12 +119,12 @@ def sha256_many(messages: Iterable[bytes]) -> List[bytes]:
 
     The batch entry point every hot hashing site goes through: on the
     fast path all lanes advance together through numpy uint32 rounds;
-    in scalar mode (or without numpy, or for trivial batches) it is a
-    plain loop over the reference :func:`~repro.crypto.sha256.sha256`.
+    in scalar mode (or for trivial batches) it is a plain loop over the
+    reference :func:`~repro.crypto.sha256.sha256`.
     Outputs are bit-identical either way.
     """
     messages = list(messages)
-    if perf.fast_enabled() and _np is not None and len(messages) > 1:
+    if perf.fast_enabled() and len(messages) > 1:
         return _sha256_lanes(messages)
     return [sha256(m) for m in messages]
 

@@ -6,10 +6,10 @@ Loop shape::
     register -> (lease -> heartbeat || execute -> submit)* -> done
 
 * the worker executes a leased unit on its **local process pool** via
-  :meth:`Runner.compute_rows` — the full PR-7 recovery machinery
-  (chunk timeouts, pool rebuilds, straggler duplicates) runs *inside*
-  each unit, so a worker surviving its own child's death is invisible
-  to the coordinator;
+  :meth:`Runner.compute_rows` — the runner's lost-worker recovery
+  (chunk deadlines, replacing a broken pool, re-dispatching only the
+  lost chunks) runs *inside* each unit, so a worker surviving its own
+  child's death is invisible to the coordinator;
 * a **pipeline unit** (``"pipeline": true`` on the lease) runs inline
   through :func:`repro.experiments.executors.pipeline_rows` with
   ``checkpoint_every=`` wired to an upload hook: every chunk-seam

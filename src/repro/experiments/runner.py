@@ -23,14 +23,15 @@ Execution contract:
 * a job raising inside a batch surfaces as :class:`JobExecutionError`
   naming the failing executor and params; rows of jobs that *did*
   complete in the batch are persisted to both cache levels before the
-  error propagates, and the pool is torn down for a clean rebuild;
+  error propagates. The exception is caught inside the worker, so the
+  pool stays healthy and keeps serving other flights;
 * a worker that *dies* (SIGKILL, OOM-killer, segfault) or wedges does
-  not lose the sweep: chunks are dispatched individually, a chunk that
-  exceeds ``chunk_timeout`` triggers a pool rebuild and re-dispatch of
-  only the lost chunks (bounded by ``chunk_retries``), and long-tail
-  stragglers optionally get a duplicate dispatch (first result wins —
-  chunks are pure functions of their payload, so duplicates cannot
-  change the result). Recoveries are counted in module-level counters
+  not lose the sweep. Chunks are submitted as futures; a dead worker
+  breaks its pool, which fails every pending future at once, and a
+  chunk running past ``chunk_timeout`` is killed by its own worker's
+  ``SIGALRM`` — the same death. The runner replaces the broken pool
+  and re-dispatches only the unfinished chunks, bounded by
+  ``chunk_retries``. Recoveries are counted in module-level counters
   (:func:`recovery_counts`) that ``repro serve`` exports as metrics.
 
 ``default_workers()`` resolves the worker count: the
@@ -44,15 +45,16 @@ from __future__ import annotations
 
 import math
 import os
+import signal
 import threading
-import time
+from concurrent.futures import wait
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import repro.experiments.executors  # noqa: F401 — populate the executor registry
 from repro import perf
 from repro.experiments.cache import ResultCache
 from repro.experiments.jobs import Job, execute_job
-from repro.experiments.pool import WorkerPoolManager, _init_worker  # noqa: F401 — re-exported
+from repro.experiments.pool import WorkerPoolManager
 from repro.experiments.spec import SweepSpec
 from repro.experiments.table import ResultTable
 from repro.testing import faults
@@ -228,17 +230,19 @@ def _describe_error(error: BaseException) -> str:
 
 def _run_chunk(chunk):
     """Worker entry point: execute a chunk of jobs shipped as parallel
-    tuples; the fast/scalar mode travels with the chunk so a pool forked
-    in one mode honours the caller's current mode.
+    tuples; the fast/scalar mode and the chunk deadline travel with the
+    chunk so a pool forked in one mode honours the caller's current
+    mode and a shared pool honours each caller's own deadline.
 
     Returns ``(payload, error)`` — payload encodes the rows of every
     job that completed (in order, stopping at the first failure) and
     ``error`` is ``None`` or ``(offset, executor, params_json, cause)``
     identifying the job that raised. Exceptions are caught per job so a
-    failure surfaces as data instead of poisoning ``pool.map`` and
-    losing the whole batch.
+    failure surfaces as data and the worker stays healthy. A chunk
+    still running ``timeout`` seconds after it started is killed by
+    ``SIGALRM``'s default action, even inside C code.
     """
-    index, executors, params, fast = chunk
+    index, executors, params, fast, timeout = chunk
     if faults.enabled():
         # worker fault site: a plan targeting ``worker.chunk`` should
         # normally carry ``once_file`` — forked workers each inherit
@@ -247,6 +251,8 @@ def _run_chunk(chunk):
         faults.fire("worker.chunk", index)
     if perf.fast_enabled() != fast:
         perf.set_fast(fast)
+    if timeout is not None:
+        signal.setitimer(signal.ITIMER_REAL, timeout)
     rows_per_job: List[List[dict]] = []
     error = None
     for offset, (executor, params_json) in enumerate(zip(executors, params)):
@@ -255,6 +261,7 @@ def _run_chunk(chunk):
         except Exception as exc:
             error = (offset, executor, params_json, _describe_error(exc))
             break
+    signal.setitimer(signal.ITIMER_REAL, 0)
     return _encode_rows(rows_per_job), error
 
 
@@ -266,24 +273,17 @@ class Runner:
                  chunksize: Optional[int] = None,
                  pool_manager: Optional[WorkerPoolManager] = None,
                  chunk_timeout: Optional[float] = None,
-                 chunk_retries: int = 2,
-                 straggler_factor: Optional[float] = None):
+                 chunk_retries: int = 2):
         self.workers = default_workers() if workers is None else max(1, int(workers))
         self.cache = cache
         self.chunksize = chunksize
-        # fault tolerance: a chunk still unfinished after chunk_timeout
-        # seconds (wall clock from dispatch, queue wait included) marks
-        # the pool as lost — it is rebuilt and only unfinished chunks
-        # re-dispatched, up to chunk_retries times. None = wait forever
-        # (the historical behaviour; a SIGKILLed worker then hangs the
-        # sweep unless straggler duplicates rescue it).
+        # fault tolerance: a chunk still running chunk_timeout seconds
+        # after it started in its worker kills that worker; a lost
+        # worker breaks the pool, which is replaced and only unfinished
+        # chunks re-dispatched, up to chunk_retries times. None = no
+        # deadline (a dead worker is still detected; a hung one is not).
         self.chunk_timeout = None if chunk_timeout is None else float(chunk_timeout)
         self.chunk_retries = max(0, int(chunk_retries))
-        # straggler mitigation: once a chunk has run straggler_factor x
-        # the EWMA chunk latency, dispatch a duplicate; first result
-        # wins. None disables.
-        self.straggler_factor = (
-            None if straggler_factor is None else float(straggler_factor))
         # borrowed manager: the caller (the service) owns pool lifetime;
         # no manager: a private one is created lazily and close() kills it
         self._manager = pool_manager
@@ -301,12 +301,6 @@ class Runner:
         if self._manager is None:
             self._manager = WorkerPoolManager()
         return self._manager.pool(self.workers)
-
-    def _reset_pool(self) -> None:
-        """Tear this runner's pool down after a failure; it is rebuilt
-        (freshly forked) on the next parallel batch."""
-        if self._manager is not None:
-            self._manager.invalidate(self.workers)
 
     def close(self) -> None:
         """Tear the worker pool down (it is rebuilt on demand). A
@@ -332,107 +326,59 @@ class Runner:
     def _map_with_recovery(self, chunks, chunksize: int):
         """Run every chunk through the pool, surviving lost workers.
 
-        ``pool.map`` has a failure mode a long sweep cannot afford: a
-        worker that dies *abruptly* (SIGKILL, OOM-killer, segfault)
-        takes its in-flight task with it and the map call blocks
-        forever — ``multiprocessing.Pool`` replenishes the worker but
-        never re-queues the task. Dispatching per chunk with
-        ``apply_async`` keeps every chunk individually observable:
-
-        * a chunk unfinished after ``chunk_timeout`` declares the pool
-          lost; the pool is torn down and *only* the unfinished chunks
-          are re-dispatched to a fresh one, ``chunk_retries`` times
-          before :class:`JobExecutionError` (carrying every completed
-          chunk's rows so they are cached, not recomputed);
-        * a chunk exceeding ``straggler_factor`` x the EWMA chunk
-          latency gets one duplicate dispatch; the first result wins.
-          Chunks are pure functions of their payload, so a duplicate
-          cannot change the sweep's rows — it only rescues a chunk
-          whose worker quietly died under a replenishing pool.
+        A worker that dies (SIGKILL, OOM-killer, segfault, or its own
+        chunk deadline) breaks the pool, which fails every future still
+        pending on it. A chunk whose future returned no result is lost:
+        the pool is retired and only the lost chunks are re-dispatched
+        to a fresh one, ``chunk_retries`` times before
+        :class:`JobExecutionError` (carrying every completed chunk's
+        rows so they are cached, not recomputed).
         """
         results: List[object] = [None] * len(chunks)
-        done = [False] * len(chunks)
+        todo = list(range(len(chunks)))
         retries_left = self.chunk_retries
         while True:
             pool = self._ensure_pool()
-            lost = self._poll_chunks(pool, chunks, results, done)
+            futures = {}
+            for i in todo:
+                try:
+                    futures[i] = pool.submit(_run_chunk, chunks[i])
+                except RuntimeError:
+                    break  # broken, or retired by another flight
+            wait(futures.values())
+            lost = []
+            for i in todo:
+                future = futures.get(i)
+                if (future is None or future.cancelled()
+                        or future.exception() is not None):
+                    lost.append(i)
+                else:
+                    results[i] = future.result()
             if not lost:
                 return results
-            # the pool is suspect: at least one dispatched chunk will
-            # never come back. Rebuild and re-dispatch the survivors.
-            self._reset_pool()
+            self._manager.invalidate(self.workers, pool)
             note_recovery("worker_restarts")
             note_recovery("chunk_retries", len(lost))
             if retries_left <= 0:
                 index = lost[0]
-                _, executors, params, _ = chunks[index]
+                _, executors, params, _, _ = chunks[index]
                 raise JobExecutionError(
                     executors[0], params[0],
                     f"worker lost or timed out; chunk {index} unfinished "
                     f"after {self.chunk_retries} redispatch(es)",
-                    completed=self._completed_pairs(results, done, chunksize))
+                    completed=self._completed_pairs(results, chunksize))
             retries_left -= 1
-
-    def _poll_chunks(self, pool, chunks, results, done) -> List[int]:
-        """One dispatch round: submit every unfinished chunk, poll until
-        all complete or one is declared lost. Fills ``results``/``done``
-        in place; returns the indices of lost chunks (empty on a clean
-        round)."""
-        pending = {}
-        started = {}
-        for i, chunk in enumerate(chunks):
-            if not done[i]:
-                pending[i] = pool.apply_async(_run_chunk, (chunk,))
-                started[i] = time.monotonic()
-        duplicates: Dict[int, object] = {}
-        ewma: Optional[float] = None
-        while pending:
-            progressed = False
-            now = time.monotonic()
-            for i in sorted(pending):
-                handle = pending[i]
-                winner = None
-                if handle.ready():
-                    winner = handle
-                elif i in duplicates and duplicates[i].ready():
-                    winner = duplicates[i]
-                if winner is not None:
-                    try:
-                        results[i] = winner.get()
-                    except Exception:
-                        # the worker raised outside a job (fault
-                        # injection, unpicklable return, death during
-                        # handoff): treat everything still pending as
-                        # lost and let the retry loop decide
-                        return sorted(pending)
-                    done[i] = True
-                    del pending[i]
-                    duplicates.pop(i, None)
-                    latency = now - started[i]
-                    ewma = (latency if ewma is None
-                            else 0.8 * ewma + 0.2 * latency)
-                    progressed = True
-                    continue
-                elapsed = now - started[i]
-                if self.chunk_timeout is not None and elapsed > self.chunk_timeout:
-                    return sorted(pending)
-                if (self.straggler_factor is not None and ewma is not None
-                        and i not in duplicates
-                        and elapsed > self.straggler_factor * ewma):
-                    duplicates[i] = pool.apply_async(_run_chunk, (chunks[i],))
-            if pending and not progressed:
-                time.sleep(0.005)
-        return []
+            todo = lost
 
     @staticmethod
-    def _completed_pairs(results, done, chunksize: int):
+    def _completed_pairs(results, chunksize: int):
         """(batch position, rows) pairs of every completed chunk, for
         the ``completed`` payload of :class:`JobExecutionError`."""
         completed: List[Tuple[int, List[dict]]] = []
-        for i, finished in enumerate(done):
-            if not finished:
+        for i, result in enumerate(results):
+            if result is None:
                 continue
-            payload, _error = results[i]
+            payload, _error = result
             for offset, rows in enumerate(_decode_rows(payload)):
                 completed.append((i * chunksize + offset, rows))
         return completed
@@ -454,7 +400,7 @@ class Runner:
             (i // chunksize,
              tuple(job.executor for job in jobs[i:i + chunksize]),
              tuple(job.params_json for job in jobs[i:i + chunksize]),
-             fast)
+             fast, self.chunk_timeout)
             for i in range(0, len(jobs), chunksize)
         ]
         mapped = self._map_with_recovery(chunks, chunksize)
@@ -468,7 +414,6 @@ class Runner:
                 offset, executor, params_json, cause = error
                 failure = (executor, params_json, cause)
         if failure is not None:
-            self._reset_pool()
             raise JobExecutionError(*failure, completed=completed)
         return [rows for _, rows in completed]
 

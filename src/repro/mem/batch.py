@@ -21,12 +21,10 @@ from __future__ import annotations
 from array import array
 from typing import Iterable, Iterator, List
 
+import numpy as _np
+
 from repro.mem.trace import MemoryRequest, RequestKind, TraceStats
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
 
 #: fixed kind <-> small-int code mapping used inside batches
 KINDS = (RequestKind.DATA, RequestKind.VN, RequestKind.MAC, RequestKind.TREE)
@@ -157,7 +155,7 @@ class RequestBatch:
         through :meth:`TraceStats.add`. One ``bincount`` over
         (kind, direction) buckets instead of a per-request loop — the
         streaming pipeline calls this once per chunk per scheme."""
-        if _np is not None and len(self.size) >= 64:
+        if len(self.size) >= 64:
             size = _np.frombuffer(self.size, dtype=_np.int64)
             is_write = _np.frombuffer(self.is_write, dtype=_np.int8)
             kind = _np.frombuffer(self.kind, dtype=_np.int8)

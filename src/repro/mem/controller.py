@@ -21,16 +21,13 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, List, Union
 
+import numpy as _np
+
 from repro import perf
 from repro.mem.batch import RequestBatch
 from repro.mem.dram import CMD_DATA_COUPLING, DramChip, DDR4_2400, DramTiming
 from repro.mem.layout import AddressLayout
 from repro.mem.trace import MemoryRequest, TraceStats
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
 
 
 @dataclass
@@ -111,15 +108,15 @@ class MemoryController:
 
     def _expand_bursts_soa(self, batch: RequestBatch):
         """Per-burst (is_write, bank, row, run_end) lists for a batch,
-        decomposed up front — vectorized when numpy is available.
-        ``run_end[i]`` is the exclusive end of the maximal stretch of
-        consecutive bursts sharing burst ``i``'s (bank, row): the
-        schedule loop services whole row-hit runs from it without
-        rescanning the window per burst (``None`` without numpy)."""
+        decomposed up front in numpy. ``run_end[i]`` is the exclusive
+        end of the maximal stretch of consecutive bursts sharing burst
+        ``i``'s (bank, row): the schedule loop services whole row-hit
+        runs from it without rescanning the window per burst (``None``
+        for an empty batch)."""
         burst = self.layout.burst_bytes
         cpr = self.layout.columns_per_row
         banks = self.layout.banks
-        if _np is not None and len(batch):
+        if len(batch):
             addr = _np.frombuffer(batch.address, dtype=_np.int64)
             size = _np.frombuffer(batch.size, dtype=_np.int64)
             start_burst = addr // burst
@@ -340,7 +337,7 @@ class ControllerSession:
         # REPRO_SCALAR drops even the batch entry point to the plain
         # windowed reference loop (the escape hatch for bisecting a
         # suspected run-servicing bug)
-        if run_end is None and _np is not None and perf.fast_enabled():
+        if run_end is None and perf.fast_enabled():
             run_end = self._run_ends(bank_list, row_list)
         if run_end is None or not perf.fast_enabled():
             window = deque()

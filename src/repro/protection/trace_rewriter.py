@@ -22,23 +22,16 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, List
 
+import numpy as _np
+
 from repro import perf
 from repro.testing import faults
 from repro.mem.batch import MAC_CODE, TREE_CODE, VN_CODE, RequestBatch
 from repro.mem.cache import SetAssociativeCache
+from repro.mem.cache_fast import FastSetAssociativeCache
 from repro.mem.trace import MemoryRequest, RequestKind
 from repro.protection.guardnn import GuardNNParams
 from repro.protection.mee import MeeParams
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
-
-if _np is not None:
-    from repro.mem.cache_fast import FastSetAssociativeCache
-else:  # pragma: no cover - the image bakes numpy in
-    FastSetAssociativeCache = None
 
 
 def build_trace_rewriter(name: str, **params):
@@ -229,8 +222,8 @@ class GuardNNTraceRewriter:
 
         Requests that touch only the already-active MAC line (the
         sequential-stream common case: ~5 chunks per 64-B tag line) are
-        copied through in bulk array slices between MAC events. With
-        numpy, chunk spans and MAC-line addresses are precomputed for
+        copied through in bulk array slices between MAC events. On the
+        fast path (16+ requests), chunk spans and MAC-line addresses are precomputed for
         the whole batch (SoA) and same-line request runs collapse to a
         single state transition each.
         """
@@ -241,7 +234,7 @@ class GuardNNTraceRewriter:
         if not self.integrity:
             out.extend(batch)
             return out
-        if _np is not None and perf.fast_enabled() and len(batch) >= 16:
+        if perf.fast_enabled() and len(batch) >= 16:
             address = _np.frombuffer(batch.address, dtype=_np.int64)
             size = _np.frombuffer(batch.size, dtype=_np.int64)
             chunk_bytes = self.params.chunk_bytes
@@ -405,7 +398,7 @@ class GuardNNTraceRewriter:
         return out
 
     def _rewrite_batch_loop(self, batch: RequestBatch, out: RequestBatch) -> RequestBatch:
-        """Per-request fallback (no numpy, tiny batches, scalar mode)."""
+        """Per-request fallback (tiny batches, scalar mode)."""
         put_address = out.address.append
         put_size = out.size.append
         put_write = out.is_write.append
@@ -494,7 +487,7 @@ class MeeTraceRewriter:
         # access_many kernel on the fast path, the OrderedDict
         # reference in scalar mode — same API, bit-identical behaviour
         # (tests/property/test_cache_equivalence.py)
-        if FastSetAssociativeCache is not None and perf.fast_enabled():
+        if perf.fast_enabled():
             self.cache = FastSetAssociativeCache(
                 params.cache_bytes, params.line_bytes, ways=8)
         else:
@@ -606,7 +599,7 @@ class MeeTraceRewriter:
         sequence (same metadata-cache state machine), emitted straight
         into parallel arrays.
 
-        With numpy, VN-unit spans are precomputed for the whole batch
+        On the fast path (16+ requests), VN-unit spans are precomputed for the whole batch
         (SoA) and runs of requests inside one 512-B unit collapse: the
         run's first request drives the cache state machine, the rest
         are provably hits and reduce to one dirty-OR / LRU touch.
@@ -624,7 +617,7 @@ class MeeTraceRewriter:
         if faults.enabled():
             faults.fire("rewriter.rewrite", self._rewrite_calls)
         self._rewrite_calls += 1
-        if _np is not None and perf.fast_enabled() and len(batch) >= 16:
+        if perf.fast_enabled() and len(batch) >= 16:
             if (isinstance(self.cache, FastSetAssociativeCache)
                     and len(self.regions.tree_bases) + 1 < self.cache.ways):
                 out = self._rewrite_batch_spec(batch)
@@ -995,7 +988,7 @@ class MeeTraceRewriter:
         return out
 
     def _rewrite_batch_loop(self, batch: RequestBatch) -> RequestBatch:
-        """Per-request fallback (no numpy, tiny batches, scalar mode)."""
+        """Per-request fallback (tiny batches, scalar mode)."""
         out = RequestBatch()
         line_bytes = self.params.line_bytes
         unit = self.params.data_per_vn_line

@@ -46,11 +46,16 @@ from typing import Dict, Optional
 
 from repro.checkpoint import CheckpointError, load_checkpoint
 from repro.experiments import ResultCache, ResultTable, get_sweep
-from repro.experiments import runner as runner_module
 from repro.experiments.cache import code_fingerprint
 from repro.experiments.executors import pipeline_rows
 from repro.experiments.pool import WorkerPoolManager
-from repro.experiments.runner import JobExecutionError, Runner, default_workers
+from repro.experiments.runner import (
+    JobExecutionError,
+    Runner,
+    default_workers,
+    recall_rows,
+    remember_rows,
+)
 from repro.mem.pipeline import PipelineCancelled, PipelineCheckpointed
 from repro.service.admission import AdmissionController
 from repro.service.coalescer import END_OF_STREAM, Flight, JobCoalescer
@@ -173,8 +178,13 @@ class ReproService:
             # Warm the pool (and the forkserver template it forks from)
             # before the listener binds: no worker process may ever be
             # forked while a client connection fd is open in this
-            # process — see _service_pool_context.
-            self.pool_manager.pool(self.workers)
+            # process — see _service_pool_context. The executor spawns
+            # a worker per submission while none is idle, so one no-op
+            # per worker starts them all (their imports finish in the
+            # background, as a multiprocessing.Pool's would).
+            pool = self.pool_manager.pool(self.workers)
+            for _ in range(self.workers):
+                pool.submit(abs, 0)
         for sig in (signal.SIGTERM, signal.SIGINT):
             try:
                 self._loop.add_signal_handler(sig, self._begin_drain)
@@ -519,21 +529,14 @@ class ReproService:
 
     def _execute_pipeline(self, flight: Flight) -> dict:
         job = flight.request.jobs()[0]
-        rows = runner_module._memory_get(job)
+        rows = recall_rows(job, self.cache)
         cached = rows is not None
-        if rows is None and self.cache is not None:
-            rows = self.cache.get(job)
-            cached = rows is not None
-            if rows is not None:
-                runner_module._memory_put(job, rows)
         if rows is None and self.config.distributed:
             # the coordinator's checkpoint migration + journal replace
             # the local checkpoint file for durability; completed rows
             # land in both cache levels exactly as the local path's do
             rows = self._run_distributed(flight, [job])[0]
-            runner_module._memory_put(job, rows)
-            if self.cache is not None:
-                self.cache.put(job, rows)
+            remember_rows(job, rows, self.cache)
         elif rows is None:
             def on_chunk(chunk, requests_done, total_requests):
                 self._check_cancel(flight)
@@ -572,9 +575,7 @@ class ReproService:
             rows = pipeline_rows(job.params, on_chunk=on_chunk,
                                  should_stop=flight.cancel.is_set,
                                  **ckpt_kwargs)
-            runner_module._memory_put(job, rows)
-            if self.cache is not None:
-                self.cache.put(job, rows)
+            remember_rows(job, rows, self.cache)
             if ckpt_path is not None:
                 try:
                     os.unlink(ckpt_path)  # completed: checkpoint spent

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.crypto.ec import P256
+from repro.crypto.ecdsa import EcdsaKeyPair
 from repro.crypto.rng import HmacDrbg, SimulatedTrng, device_drbg
 
 
@@ -64,6 +66,25 @@ class TestHmacDrbg:
         drbg = HmacDrbg(b"cover")
         seen = {drbg.random_int_below(4) for _ in range(200)}
         assert seen == {0, 1, 2, 3}
+
+    def test_p256_outputs_unchanged_by_masking(self):
+        # both in-tree callers draw below the 256-bit P-256 order, where
+        # the simple-discard mask keeps every bit: these values were
+        # produced by the unmasked sampler and must not move
+        key = EcdsaKeyPair.generate(device_drbg(b"pin-device"))
+        assert key.private == int(
+            "abb9f02e95c958782d936f7261a735ca6a0878db2280d4336f28c784d6b36433", 16)
+        scalar = HmacDrbg(b"latency-calibration").random_int_below(P256.n)
+        assert scalar == int(
+            "7bc34caf587f9804281101ad48c0cf4bcd53c94ddc099ddbf1d7e4e689ae5804", 16)
+
+    def test_draws_are_masked_to_bound_bits(self):
+        # a mask to bit_length(4) = 3 bits accepts half of all draws, so
+        # 200 samples consume a few hundred one-byte draws, not ~12800
+        drbg = HmacDrbg(b"cover")
+        for _ in range(200):
+            drbg.random_int_below(4)
+        assert drbg.reseed_counter < 1000
 
 
 def test_device_drbg_distinct_devices():

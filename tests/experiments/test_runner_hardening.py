@@ -1,7 +1,12 @@
 """Regression tests for the runner hardening pass that rode along with
 ``repro serve``: validated ``REPRO_SWEEP_WORKERS``, oldest-first LRU
-eviction in the in-memory cache, and failure identity + partial-result
-preservation when a job blows up inside a batch."""
+eviction in the in-memory cache, failure identity + partial-result
+preservation when a job blows up inside a batch, the chunk deadline,
+and concurrent flights on one shared pool."""
+
+import multiprocessing
+import threading
+import time
 
 import pytest
 
@@ -9,25 +14,29 @@ import repro.experiments.runner as runner_module
 from repro import perf
 from repro.experiments import Job, ResultCache, Runner
 from repro.experiments.jobs import executor
+from repro.experiments.pool import WorkerPoolManager
 from repro.experiments.runner import (
     JobExecutionError,
     _memory_get,
     _memory_put,
     default_workers,
+    recovery_counts,
 )
 
 
 @executor("hardening_probe")
 def _hardening_probe(params):
-    """Deterministic toy executor; raises on demand so both the serial
-    and the forked-pool failure paths can be exercised."""
+    """Deterministic toy executor; raises or sleeps on demand so the
+    serial, forked-pool and chunk-deadline paths can be exercised."""
+    if params.get("sleep"):
+        time.sleep(params["sleep"])
     if params.get("boom"):
         raise ValueError(f"job {params['x']} exploded")
     return {"x": params["x"], "doubled": params["x"] * 2}
 
 
-def probe(x, boom=False):
-    return Job.make("hardening_probe", x=x, boom=boom)
+def probe(x, boom=False, sleep=0):
+    return Job.make("hardening_probe", x=x, boom=boom, sleep=sleep)
 
 
 @pytest.fixture
@@ -142,11 +151,13 @@ class TestJobFailureIdentity:
         try:
             with pytest.raises(JobExecutionError):
                 runner.run([probe(10), probe(11, boom=True)])
-            # the possibly-wedged pool is torn down for a clean rebuild
-            assert runner._pool is None
+            # the job's exception was caught inside its worker, so the
+            # pool is healthy: the same executor serves the next batch
+            pool = runner._pool
+            assert pool is not None
             table = runner.run([probe(12), probe(13)])
             assert [row["x"] for row in table.rows] == [12, 13]
-            assert runner._pool is not None
+            assert runner._pool is pool
         finally:
             runner.close()
 
@@ -167,3 +178,79 @@ class TestJobFailureIdentity:
         # recomputation (serial execution stops at the failing job, so
         # the one job that ran before it is what was preserved)
         assert cache.hits == hits_before + 1
+
+
+class TestChunkDeadline:
+    def test_hung_chunk_is_killed_and_redispatched_then_raises(
+            self, fresh_memory_cache):
+        """A chunk sleeping past ``chunk_timeout`` is killed by its own
+        worker's SIGALRM; the broken pool is replaced and the chunk
+        re-dispatched ``chunk_retries`` times before the sweep fails.
+        Each round (the first dispatch included) counts one restart
+        and one re-dispatched chunk, as for a SIGKILLed worker."""
+        jobs = [probe(30, sleep=60), probe(31)]
+        before = recovery_counts()
+        started = time.monotonic()
+        with Runner(workers=2, chunksize=len(jobs), chunk_timeout=0.5,
+                    chunk_retries=2) as runner:
+            with pytest.raises(JobExecutionError,
+                               match="worker lost or timed out") as excinfo:
+                runner.run(jobs)
+        assert time.monotonic() - started < 30
+        assert excinfo.value.job == jobs[0]
+        assert "after 2 redispatch(es)" in excinfo.value.cause
+        assert excinfo.value.completed == []
+        after = recovery_counts()
+        assert after["worker_restarts"] == before["worker_restarts"] + 3
+        assert after["chunk_retries"] == before["chunk_retries"] + 3
+
+    def test_deadline_leaves_fast_chunks_alone(self, fresh_memory_cache):
+        before = recovery_counts()
+        with Runner(workers=2, chunksize=1, chunk_timeout=5.0) as runner:
+            table = runner.run([probe(40), probe(41), probe(42)])
+        assert [row["x"] for row in table.rows] == [40, 41, 42]
+        assert recovery_counts() == before
+
+
+@pytest.mark.skipif("forkserver" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the forkserver start method")
+class TestConcurrentFlightsOnSharedPool:
+    def test_one_flights_failure_does_not_strand_the_other(
+            self, fresh_memory_cache):
+        """Two flights on one forkserver pool, the way ``repro serve``
+        runs ``max_running=2`` (each flight in 4-job slices): flight
+        A's failing job must not take flight B's queued chunks down
+        with it. Forkserver workers only know the built-in executors,
+        so both flights use those."""
+        grid = [Job.make("dram_characterization", pattern="random",
+                         requests=8000, seed=seed) for seed in range(16)]
+        failing = [Job.make("dram_characterization", pattern="random",
+                            requests=8000, seed=99),
+                   Job.make("dram_characterization", pattern="bogus")]
+        reference = Runner(workers=1).run(grid).rows
+        fresh_memory_cache.clear()
+
+        outcome = {}
+
+        def flight(name, jobs):
+            runner = Runner(workers=2, chunksize=1, pool_manager=manager)
+            rows = []
+            try:
+                for start in range(0, len(jobs), 4):
+                    rows.extend(runner.run(jobs[start:start + 4]).rows)
+            except JobExecutionError as error:
+                rows = error
+            outcome[name] = rows
+
+        with WorkerPoolManager(context="forkserver") as manager:
+            threads = [threading.Thread(target=flight, args=args, daemon=True)
+                       for args in (("a", failing), ("b", grid))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads), \
+                "a flight is still waiting on its chunks"
+        assert isinstance(outcome["a"], JobExecutionError)
+        assert outcome["a"].job == failing[1]
+        assert outcome["b"] == reference

@@ -61,9 +61,9 @@ def test_sigkilled_worker_mid_sweep_rows_bit_identical(tmp_path):
 
 
 def test_straggler_duplicate_rescues_lost_chunk(tmp_path):
-    """With no chunk timeout, the EWMA straggler duplicate alone
-    rescues a chunk whose worker was killed (the pool replenishes the
-    worker; the duplicate dispatch lands on it; first result wins)."""
+    """With no chunk timeout, a chunk whose worker was killed is still
+    rescued: the dead worker breaks the pool, the pending futures fail,
+    and the lost chunks are re-dispatched to a fresh pool."""
     reference = _reference()
     _MEMORY_CACHE.clear()
     faults.install_env({"points": [
@@ -71,7 +71,7 @@ def test_straggler_duplicate_rescues_lost_chunk(tmp_path):
          "once_file": str(tmp_path / "killed.once")}]})
     try:
         with Runner(workers=2, chunksize=1, chunk_timeout=None,
-                    chunk_retries=2, straggler_factor=3.0) as runner:
+                    chunk_retries=2) as runner:
             recovered = runner.run(SPEC).to_json()
     finally:
         faults.clear_env()
