@@ -195,6 +195,10 @@ class CoordinatorState:
         self._heartbeat_failures: Dict[str, int] = {}
         self._remaining = len(self._units)
         self.failure: Optional[dict] = None
+        #: workers already answered "done" (by a lease reply, or by a
+        #: result reply carrying ``done``); shutdown lingers for the rest
+        self._told_done: set = set()
+        self._told = threading.Condition(self._lock)
         self.unit_seconds = StreamingHistogram(floor=1e-3)
         self._ewma: Optional[float] = None
         self.counters: Dict[str, int] = {
@@ -282,6 +286,22 @@ class CoordinatorState:
         reply["epoch"] = self.epoch
         return reply
 
+    def _done_locked(self) -> bool:
+        return self._remaining == 0 or self.failure is not None
+
+    def _tell_done_locked(self, worker: str) -> None:
+        self._told_done.add(worker)
+        self._told.notify_all()
+
+    def _result_reply(self, worker: str, reply: dict) -> dict:
+        """Stamp a result reply with ``done`` (call with lock held): the
+        worker that commits the last unit learns the sweep is over from
+        this very reply, with no further lease round trip."""
+        reply["done"] = self._done_locked()
+        if reply["done"]:
+            self._tell_done_locked(worker)
+        return self._stamp(reply)
+
     def _expire(self, now: float) -> None:
         """Lazily reap expired leases — no timer thread; expiry is
         observed at the next state transition, which is the only time
@@ -359,7 +379,8 @@ class CoordinatorState:
             self._touch(worker, now)
             self._expire(now)
             self._serve_cached_locked()
-            if self.failure is not None or self._remaining == 0:
+            if self._done_locked():
+                self._tell_done_locked(worker)
                 return self._stamp({"event": "done"})
             for unit in self._units:
                 if not unit.done and not unit.leases:
@@ -493,8 +514,8 @@ class CoordinatorState:
                     self.counters["duplicate_results_dropped"] += 1
                 else:
                     self.counters["duplicate_result_mismatches"] += 1
-                return self._stamp({"event": "duplicate",
-                                    "unit": unit_index})
+                return self._result_reply(worker, {"event": "duplicate",
+                                                   "unit": unit_index})
             if lease_id is None or lease_id not in unit.leases:
                 # the lease expired (or the commit raced expiry) but the
                 # rows are valid for this key — committing them is
@@ -503,7 +524,8 @@ class CoordinatorState:
             if provenance == "cache_hit":
                 self.counters["worker_cache_commits"] += 1
             self._complete_locked(unit, worker, rows_per_job, digest, now)
-            return self._stamp({"event": "committed", "unit": unit_index})
+            return self._result_reply(worker, {"event": "committed",
+                                               "unit": unit_index})
 
     def checkpoint(self, worker: str, unit_index: int, key: str,
                    lease_id: str, state: dict) -> dict:
@@ -594,6 +616,7 @@ class CoordinatorState:
             self.counters["leases_released"] += released
             self.counters["workers_deregistered"] += 1
             self._workers.pop(worker, None)
+            self._told.notify_all()  # one fewer worker to linger for
             return self._stamp({"event": "deregistered", "worker": worker,
                                 "released": released})
 
@@ -610,14 +633,20 @@ class CoordinatorState:
             self._touch(worker, now)
             if self.failure is None:
                 self.failure = dict(error)
-            return self._stamp({"event": "failed", "unit": unit_index})
+            return self._result_reply(worker, {"event": "failed",
+                                               "unit": unit_index})
 
     # -- observation -------------------------------------------------------
 
     @property
     def done(self) -> bool:
         with self._lock:
-            return self._remaining == 0 or self.failure is not None
+            return self._done_locked()
+
+    def _live_locked(self, now: float) -> set:
+        horizon = max(2.0 * self.lease_seconds, 3.0)
+        return {worker for worker, seen in self._workers.items()
+                if worker != LOCAL_WORKER and now - seen <= horizon}
 
     def live_remote_workers(self, now: Optional[float] = None) -> int:
         """Workers seen recently enough to plausibly still hold the
@@ -626,10 +655,18 @@ class CoordinatorState:
         never counts: it must not suppress itself."""
         if now is None:
             now = self.clock()
-        horizon = max(2.0 * self.lease_seconds, 3.0)
         with self._lock:
-            return sum(1 for worker, seen in self._workers.items()
-                       if worker != LOCAL_WORKER and now - seen <= horizon)
+            return len(self._live_locked(now))
+
+    def linger(self, timeout: float) -> None:
+        """Block until every live remote worker has been answered
+        ``done``, for at most ``timeout`` seconds. Closing the listener
+        before then would leave a worker to mistake the finished sweep
+        for an outage."""
+        with self._told:
+            self._told.wait_for(
+                lambda: self._live_locked(self.clock()) <= self._told_done,
+                timeout)
 
     def results(self) -> List[List[List[dict]]]:
         """Per-unit rows-per-job, in unit order; raises if incomplete."""
@@ -917,12 +954,14 @@ class SweepCoordinator:
         return self.server.url if self.server is not None else None
 
     def run(self) -> List[List[dict]]:
-        """Block until every unit is committed; returns rows per job in
+        """Block until every unit is committed and every live worker has
+        been told so (at most one lease term); returns rows per job in
         job order. Raises :class:`JobExecutionError` if any job failed
         deterministically (mirroring the local runner)."""
         try:
             if self._unit_indices:
                 self._drive()
+                self.state.linger(self.state.lease_seconds)
         finally:
             self.close()
         if self.state.failure is not None:

@@ -29,7 +29,10 @@ Endpoints (coordinator side)
   encoding of :func:`rows_to_wire`), or carries ``"error"`` instead of
   ``"rows"`` to report a deterministic job failure; an optional
   ``"provenance"`` field records whether the rows were ``computed`` or
-  answered from the worker's local result cache (``cache_hit``);
+  answered from the worker's local result cache (``cache_hit``). The
+  reply (``committed``, ``duplicate`` or ``failed``) carries ``"done"``:
+  true when the sweep is over, so the worker disperses without another
+  lease round trip;
 * ``POST /v1/checkpoint`` — ``{"worker": id, "unit": i, "key": ...,
   "lease": id, "state": <envelope>}`` migrates a pipeline unit's
   chunk-seam checkpoint envelope to the coordinator; the envelope is

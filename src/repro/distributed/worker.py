@@ -200,7 +200,9 @@ class Worker:
             rows_per_job.append(rows)
         return rows_per_job
 
-    def _run_unit(self, lease: dict) -> None:
+    def _run_unit(self, lease: dict) -> bool:
+        """Execute one leased unit and submit it; returns True when the
+        result reply says the sweep is done."""
         # the fault fires *before* the heartbeat thread starts, so a
         # "raise" here models a worker that died holding a fresh lease —
         # nothing renews it and it expires on schedule
@@ -209,8 +211,7 @@ class Worker:
         cached = self._recall_unit(jobs)
         if cached is not None:
             self._log(f"unit {lease['unit']}: local cache hit")
-            self._submit(lease, cached, None, provenance="cache_hit")
-            return
+            return self._submit(lease, cached, None, provenance="cache_hit")
         stop = threading.Event()
         beat = threading.Thread(
             target=self._heartbeat_loop, args=(lease["lease"], stop),
@@ -240,8 +241,8 @@ class Worker:
         if drained:
             # the final envelope is migrated; the lease is released by
             # the deregister that follows in run() — nothing to submit
-            return
-        self._submit(lease, rows, error)
+            return False
+        return self._submit(lease, rows, error)
 
     def _run_pipeline(self, lease: dict, jobs: List[Job]):
         """Execute a singleton pipeline unit inline, migrating every
@@ -315,7 +316,7 @@ class Worker:
         return [rows], None, False
 
     def _submit(self, lease: dict, rows, error,
-                provenance: str = "computed") -> None:
+                provenance: str = "computed") -> bool:
         """At-least-once result delivery: retry until the coordinator
         acknowledges or stays dark past the reconnect budget.
         ``duplicate`` is an acknowledgement — the rows landed (possibly
@@ -325,7 +326,9 @@ class Worker:
         result: re-register and submit under the new id — the journal
         replay marked nothing for this unit, so these rows are exactly
         what the recovered sweep is waiting for (and if another worker
-        beat us to it, idempotency answers ``duplicate``)."""
+        beat us to it, idempotency answers ``duplicate``). Returns the
+        reply's ``done`` flag: True once the sweep needs no more
+        leases."""
         backoff = Backoff()
         deadline = self._budget_deadline()
         while True:
@@ -355,7 +358,7 @@ class Worker:
                 if event != "failed":
                     self.units_done += 1
                 self._log(f"unit {lease['unit']}: {event}")
-                return
+                return bool(reply.get("done"))
             raise ProtocolError(f"unexpected result reply {reply!r}")
 
     def _exit_stats(self) -> str:
@@ -364,7 +367,8 @@ class Worker:
                 f"{self.reregistrations} re-registration(s)")
 
     def run(self) -> int:
-        """Work until the coordinator says ``done`` (exit 0), a drain is
+        """Work until the coordinator says ``done`` — on a lease reply or
+        on the reply to this worker's own result — (exit 0), a drain is
         requested (finish/park the current lease, deregister, exit 0),
         or the coordinator stays unreachable past ``reconnect_timeout``
         (exit 1; a zero timeout waits forever). A coordinator that
@@ -405,10 +409,6 @@ class Worker:
             backoff.reset()
             deadline = self._budget_deadline()
             event = reply.get("event")
-            if event == "done":
-                self._log(f"sweep complete ({self._exit_stats()})")
-                self._close_runner()
-                return 0
             if event == "wait":
                 # interruptible by drain: wait() returns early when set
                 self._drain.wait(float(reply.get("poll", 0.5)))
@@ -419,9 +419,14 @@ class Worker:
                 self.worker_id = None
                 continue
             if event == "lease":
-                self._run_unit(reply)
-                continue
-            raise ProtocolError(f"unexpected lease reply {reply!r}")
+                if not self._run_unit(reply):
+                    continue
+            elif event != "done":
+                raise ProtocolError(f"unexpected lease reply {reply!r}")
+            # told "done" by a lease reply or by our own result's reply
+            self._log(f"sweep complete ({self._exit_stats()})")
+            self._close_runner()
+            return 0
 
     def _deregister(self) -> None:
         """Best-effort: a deregister that never arrives just means the

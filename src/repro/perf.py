@@ -13,6 +13,12 @@ The simulator keeps two implementations of every hot kernel:
   to its scalar reference (asserted by the equivalence suite in
   ``tests/property/test_vectorized_equivalence.py``).
 
+The trace rewriters follow the same split: in scalar mode their
+``rewrite_batch`` runs the reference ``rewrite()`` over request objects;
+on the fast path GuardNN runs one vectorized batch path and MEE a
+speculative whole-batch program with a sequential run engine as its
+exact fallback.
+
 This module owns the process-wide toggle.  The fast path is the
 default; :func:`scalar_mode` drops back to the reference
 implementations so benchmarks can time an honest before/after on the

@@ -95,8 +95,8 @@ def _scatter_assemble(out: RequestBatch, batch: RequestBatch, address, size,
     events (event j rides directly after input request ``ev_pos[j]``)
     in one vectorized scatter instead of per-run array flushes.
 
-    Event columns may be Python lists (the per-run state machines) or
-    numpy arrays (the fully vectorized paths)."""
+    Event columns may be Python lists (the sequential run engine) or
+    numpy arrays (the vectorized paths)."""
     n = len(address)
     m = len(ev_pos)
     if not m:
@@ -218,14 +218,14 @@ class GuardNNTraceRewriter:
     def rewrite_batch(self, batch: RequestBatch) -> RequestBatch:
         """Batch counterpart of :meth:`rewrite`: same stream, emitted as
         a :class:`RequestBatch` without per-request object churn. Shares
-        the active-MAC-line state with the scalar path.
+        the active-MAC-line state with the scalar path; in scalar mode
+        it runs :meth:`rewrite` itself.
 
-        Requests that touch only the already-active MAC line (the
-        sequential-stream common case: ~5 chunks per 64-B tag line) are
-        copied through in bulk array slices between MAC events. On the
-        fast path (16+ requests), chunk spans and MAC-line addresses are precomputed for
-        the whole batch (SoA) and same-line request runs collapse to a
-        single state transition each.
+        Each request expands into one item per chunk it covers, in
+        stream order (the identity for the single-chunk streaming case).
+        Same-line item runs collapse to a MAC-line-change event stream
+        computed entirely in numpy, then one scatter interleaves the
+        events after the requests that raised them.
         """
         if faults.enabled():
             faults.fire("rewriter.rewrite", self._rewrite_calls)
@@ -234,35 +234,36 @@ class GuardNNTraceRewriter:
         if not self.integrity:
             out.extend(batch)
             return out
-        if perf.fast_enabled() and len(batch) >= 16:
-            address = _np.frombuffer(batch.address, dtype=_np.int64)
-            size = _np.frombuffer(batch.size, dtype=_np.int64)
-            chunk_bytes = self.params.chunk_bytes
-            if _np.array_equal(address // chunk_bytes,
-                               (address + size - 1) // chunk_bytes):
-                return self._rewrite_batch_vec(batch, out, address)
-            return self._rewrite_batch_runs(batch, out)
-        return self._rewrite_batch_loop(batch, out)
-
-    def _rewrite_batch_vec(self, batch: RequestBatch, out: RequestBatch,
-                           address) -> RequestBatch:
-        """All-single-chunk batches (the streaming common case) need no
-        per-run Python state machine at all: same-line runs collapse to
-        a MAC-line-change event stream computed entirely in numpy, then
-        one scatter assembles the interleaved output."""
+        if not perf.fast_enabled():
+            return RequestBatch.from_requests(self.rewrite(batch))
         n = len(batch)
+        if not n:
+            return out
+        address = _np.frombuffer(batch.address, dtype=_np.int64)
+        size = _np.frombuffer(batch.size, dtype=_np.int64)
         is_write = _np.frombuffer(batch.is_write, dtype=_np.int8)
+        chunk_bytes = self.params.chunk_bytes
         line_bytes = self.LINE_BYTES
+        chunk = address // chunk_bytes
+        spans = (address + size - 1) // chunk_bytes - chunk + 1
+        item_req = None  # item -> request index; None is the identity
+        item_write = is_write
+        if int(spans.max()) > 1:
+            item_req = _np.repeat(_np.arange(n), spans)
+            item_off = _np.cumsum(spans) - spans
+            chunk = (chunk[item_req] + _np.arange(len(item_req))
+                     - item_off[item_req])
+            item_write = is_write[item_req]
         line = (self.metadata_base
-                + (address // self.params.chunk_bytes) * self.params.mac_bytes
-                // line_bytes * line_bytes)
-        starts = _run_starts(line, _np.ones(n, dtype=bool))
-        ends = _np.concatenate((starts[1:], [n]))
+                + chunk * self.params.mac_bytes // line_bytes * line_bytes)
+        items = len(line)
+        starts = _run_starts(line, _np.ones(items, dtype=bool))
+        ends = _np.concatenate((starts[1:], [items]))
         m = len(starts)
-        writes_before = _np.concatenate(([0], _np.cumsum(is_write != 0)))
+        writes_before = _np.concatenate(([0], _np.cumsum(item_write != 0)))
         run_any_write = writes_before[ends] > writes_before[starts]
         run_line = line[starts]
-        run_read_first = is_write[starts] == 0
+        run_read_first = item_write[starts] == 0
 
         first = 0  # run 0 may just extend the carried active line
         if self._active_line is not None and run_line[0] == self._active_line:
@@ -289,6 +290,8 @@ class GuardNNTraceRewriter:
         ev_run = ev_slot >> 1
         ev_is_wb = (ev_slot & 1) == 0
         pos = starts[first:]
+        if item_req is not None:
+            pos = item_req[pos]
         ev_pos = pos[ev_run]
         ev_addr = _np.where(ev_is_wb, prev_line[ev_run],
                             run_line[first:][ev_run])
@@ -296,163 +299,8 @@ class GuardNNTraceRewriter:
         ev_kind = _np.full(len(ev_slot), MAC_CODE, dtype=_np.int8)
         self._active_line = int(run_line[-1])
         self._active_dirty = bool(run_any_write[-1])
-        size = _np.frombuffer(batch.size, dtype=_np.int64)
         _scatter_assemble(out, batch, address, size, is_write,
                           ev_pos, ev_addr, ev_write, ev_kind, line_bytes)
-        return out
-
-    def _rewrite_batch_runs(self, batch: RequestBatch, out: RequestBatch) -> RequestBatch:
-        """Vectorized pre-pass + per-run state machine. A run is a
-        maximal stretch of single-chunk requests whose tags live in one
-        MAC line; the scalar machine emits nothing inside such a run,
-        so only its first request can produce MAC events and only the
-        run's write-OR reaches the dirty bit."""
-        n = len(batch)
-        address = _np.frombuffer(batch.address, dtype=_np.int64)
-        size = _np.frombuffer(batch.size, dtype=_np.int64)
-        is_write = _np.frombuffer(batch.is_write, dtype=_np.int8)
-        line_bytes = self.LINE_BYTES
-        chunk_bytes = self.params.chunk_bytes
-        mac_bytes = self.params.mac_bytes
-        base = self.metadata_base
-        first = address // chunk_bytes
-        last = (address + size - 1) // chunk_bytes
-        line = base + first * mac_bytes // line_bytes * line_bytes
-        single = first == last
-        starts = _run_starts(line, single)
-        ends = _np.concatenate((starts[1:], [n]))
-        # per-run attribute gathers: only run boundaries reach Python
-        writes_before = _np.concatenate(([0], _np.cumsum(is_write != 0)))
-        run_any_write = (writes_before[ends] > writes_before[starts]).tolist()
-        run_line = line[starts].tolist()
-        run_single = single[starts].tolist()
-        run_first = first[starts].tolist()
-        run_last = last[starts].tolist()
-        run_write = is_write[starts].tolist()
-        starts_list = starts.tolist()
-
-        put_address = out.address.append
-        put_size = out.size.append
-        put_write = out.is_write.append
-        put_kind = out.kind.append
-        active_line = self._active_line
-        active_dirty = self._active_dirty
-        pending = 0  # start of the verbatim run not yet copied out
-        for k, s in enumerate(starts_list):
-            if run_single[k]:
-                this_line = run_line[k]
-                if this_line == active_line:
-                    if run_any_write[k]:
-                        active_dirty = True
-                    continue
-                # MAC event right after request s; the rest of the run
-                # rides the newly active line
-                out.address.extend(batch.address[pending:s + 1])
-                out.size.extend(batch.size[pending:s + 1])
-                out.is_write.extend(batch.is_write[pending:s + 1])
-                out.kind.extend(batch.kind[pending:s + 1])
-                pending = s + 1
-                if active_line is not None and active_dirty:
-                    put_address(active_line)
-                    put_size(line_bytes)
-                    put_write(1)
-                    put_kind(MAC_CODE)
-                if not run_write[k]:
-                    put_address(this_line)
-                    put_size(line_bytes)
-                    put_write(0)
-                    put_kind(MAC_CODE)
-                active_line = this_line
-                active_dirty = run_any_write[k]
-                continue
-            # multi-chunk request: singleton run, walk its chunks
-            out.address.extend(batch.address[pending:s + 1])
-            out.size.extend(batch.size[pending:s + 1])
-            out.is_write.extend(batch.is_write[pending:s + 1])
-            out.kind.extend(batch.kind[pending:s + 1])
-            pending = s + 1
-            req_write = run_write[k]
-            for chunk in range(run_first[k], run_last[k] + 1):
-                chunk_line = base + chunk * mac_bytes // line_bytes * line_bytes
-                if chunk_line != active_line:
-                    if active_line is not None and active_dirty:
-                        put_address(active_line)
-                        put_size(line_bytes)
-                        put_write(1)
-                        put_kind(MAC_CODE)
-                    active_dirty = False
-                    if not req_write:
-                        put_address(chunk_line)
-                        put_size(line_bytes)
-                        put_write(0)
-                        put_kind(MAC_CODE)
-                    active_line = chunk_line
-                if req_write:
-                    active_dirty = True
-        out.address.extend(batch.address[pending:])
-        out.size.extend(batch.size[pending:])
-        out.is_write.extend(batch.is_write[pending:])
-        out.kind.extend(batch.kind[pending:])
-        self._active_line = active_line
-        self._active_dirty = active_dirty
-        return out
-
-    def _rewrite_batch_loop(self, batch: RequestBatch, out: RequestBatch) -> RequestBatch:
-        """Per-request fallback (tiny batches, scalar mode)."""
-        put_address = out.address.append
-        put_size = out.size.append
-        put_write = out.is_write.append
-        put_kind = out.kind.append
-        line_bytes = self.LINE_BYTES
-        chunk_bytes = self.params.chunk_bytes
-        mac_bytes = self.params.mac_bytes
-        base = self.metadata_base
-        active_line = self._active_line
-        active_dirty = self._active_dirty
-        pending = 0  # start of the verbatim run not yet copied out
-        i = 0
-        for req_addr, req_size, req_write in zip(
-                batch.address, batch.size, batch.is_write):
-            first = req_addr // chunk_bytes
-            last = (req_addr + req_size - 1) // chunk_bytes
-            if first == last:
-                line = base + (first * mac_bytes // line_bytes) * line_bytes
-                if line == active_line:
-                    if req_write:
-                        active_dirty = True
-                    i += 1
-                    continue
-            # a MAC event follows this request: flush the verbatim run
-            # (including this request), then emit the event stream
-            i += 1
-            out.address.extend(batch.address[pending:i])
-            out.size.extend(batch.size[pending:i])
-            out.is_write.extend(batch.is_write[pending:i])
-            out.kind.extend(batch.kind[pending:i])
-            pending = i
-            for chunk in range(first, last + 1):
-                line = base + (chunk * mac_bytes // line_bytes) * line_bytes
-                if line != active_line:
-                    if active_line is not None and active_dirty:
-                        put_address(active_line)
-                        put_size(line_bytes)
-                        put_write(1)
-                        put_kind(MAC_CODE)
-                    active_dirty = False
-                    if not req_write:
-                        put_address(line)
-                        put_size(line_bytes)
-                        put_write(0)
-                        put_kind(MAC_CODE)
-                    active_line = line
-                if req_write:
-                    active_dirty = True
-        out.address.extend(batch.address[pending:])
-        out.size.extend(batch.size[pending:])
-        out.is_write.extend(batch.is_write[pending:])
-        out.kind.extend(batch.kind[pending:])
-        self._active_line = active_line
-        self._active_dirty = active_dirty
         return out
 
     def flush_batch(self) -> RequestBatch:
@@ -599,32 +447,32 @@ class MeeTraceRewriter:
         sequence (same metadata-cache state machine), emitted straight
         into parallel arrays.
 
-        On the fast path (16+ requests), VN-unit spans are precomputed for the whole batch
-        (SoA) and runs of requests inside one 512-B unit collapse: the
-        run's first request drives the cache state machine, the rest
-        are provably hits and reduce to one dirty-OR / LRU touch.
-
-        When the cache is the vectorized engine, the whole batch is
-        first attempted as one *speculative program*: every metadata
-        touch the batch will make is laid out up front (tree-walk
-        depths guessed by a vectorized infinite-cache heuristic), run
-        through :meth:`~repro.mem.cache_fast.FastSetAssociativeCache.simulate`
+        In scalar mode this runs :meth:`rewrite` itself. Otherwise, when
+        the cache is the vectorized engine and the tree is shallow, the
+        whole batch is first attempted as one *speculative program*:
+        every metadata touch the batch will make is laid out up front
+        (tree-walk depths guessed by a vectorized infinite-cache
+        heuristic), run through
+        :meth:`~repro.mem.cache_fast.FastSetAssociativeCache.simulate`
         in set-collision waves, and validated against the guess. A
         validated program is provably the sequential result (guards are
         causally determined by the access prefix, so any fixpoint is
         unique); a failed validation restores the cache snapshot and
-        falls back to the per-run state machine."""
+        falls back to the sequential run engine
+        (:meth:`_rewrite_batch_runs`)."""
         if faults.enabled():
             faults.fire("rewriter.rewrite", self._rewrite_calls)
         self._rewrite_calls += 1
-        if perf.fast_enabled() and len(batch) >= 16:
-            if (isinstance(self.cache, FastSetAssociativeCache)
-                    and len(self.regions.tree_bases) + 1 < self.cache.ways):
-                out = self._rewrite_batch_spec(batch)
-                if out is not None:
-                    return out
-            return self._rewrite_batch_runs(batch)
-        return self._rewrite_batch_loop(batch)
+        if not perf.fast_enabled():
+            return RequestBatch.from_requests(self.rewrite(batch))
+        if not len(batch):
+            return RequestBatch()
+        if (isinstance(self.cache, FastSetAssociativeCache)
+                and len(self.regions.tree_bases) + 1 < self.cache.ways):
+            out = self._rewrite_batch_spec(batch)
+            if out is not None:
+                return out
+        return self._rewrite_batch_runs(batch)
 
     def _rewrite_batch_spec(self, batch: RequestBatch):
         """Speculative whole-batch rewrite on the vectorized cache.
@@ -845,6 +693,12 @@ class MeeTraceRewriter:
         return out
 
     def _rewrite_batch_runs(self, batch: RequestBatch) -> RequestBatch:
+        """Sequential run engine: the exact fallback when speculation
+        fails validation or cannot run (a deep tree, or the reference
+        cache). A run is a maximal stretch of requests inside
+        one VN unit; its first request walks the cache state machine and
+        the rest are provably hits, replayed as one LRU re-touch of the
+        unit's VN and MAC lines plus an OR over their write bits."""
         out = RequestBatch()
         n = len(batch)
         address = _np.frombuffer(batch.address, dtype=_np.int64)
@@ -854,7 +708,7 @@ class MeeTraceRewriter:
         unit = self.params.data_per_vn_line
         per_mac = self.params.data_per_mac_line
         access = self.cache.access
-        contains = self.cache.contains
+        retouch = self.cache.retouch
         kind_code_of = self._kind_code_of
         vn_base = self.regions.vn_base
         mac_base = self.regions.mac_base
@@ -863,27 +717,24 @@ class MeeTraceRewriter:
 
         first_unit = address // unit
         last_unit = (address + size - 1) // unit
-        single = first_unit == last_unit
-        starts = _run_starts(first_unit, single)
+        # a fill inserted by this walk can only be evicted by the walk's
+        # own later insertions; with <= tree-levels + 1 of those after
+        # the VN fill, an 8-way set can never push VN/MAC out before the
+        # run's remaining (all-hit) requests replay. Deeper trees run
+        # every request through the full walk.
+        coalesce_safe = len(tree_bases) + 1 < self.cache.ways
+        starts = _run_starts(first_unit,
+                             (first_unit == last_unit) & coalesce_safe)
         ends = _np.concatenate((starts[1:], [n]))
         writes_before = _np.concatenate(([0], _np.cumsum(is_write != 0)))
-        run_any_write = (writes_before[ends] > writes_before[starts]).tolist()
         # writes among requests s+1..e-1 (the coalesced tail of a run)
         run_rest_write = (writes_before[ends]
                           > writes_before[_np.minimum(starts + 1, n)]).tolist()
         run_first = first_unit[starts].tolist()
         run_last = last_unit[starts].tolist()
-        run_single = single[starts].tolist()
         run_write = is_write[starts].tolist()
         run_len = (ends - starts).tolist()
-        starts_list = starts.tolist()
-        # a fill inserted by this walk can only be evicted by the walk's
-        # own later insertions; with <= tree-levels + 1 of those after
-        # the VN fill, an 8-way set can never push VN/MAC out before the
-        # run's remaining (all-hit) requests replay
-        coalesce_safe = len(tree_bases) + 1 < self.cache.ways
 
-        retouch = self.cache.retouch
         # positioned metadata emissions: (after-request-index, address,
         # is_write, kind) as four parallel lists. The interleaved output
         # stream is scatter-assembled once at the end instead of being
@@ -909,145 +760,28 @@ class MeeTraceRewriter:
                 put_kind(kind_code)
             return hit
 
-        for k, s in enumerate(starts_list):
-            if run_single[k]:
-                u = run_first[k]
-                addr = u * unit
-                vn_line = vn_base + u * line_bytes
-                mac_line = mac_base + addr // per_mac * line_bytes
-                write = run_write[k]
-                # VN and MAC touches inlined (the two per-run constants)
-                vn_hit, writeback = access(vn_line, write)
-                if writeback is not None:
-                    put_pos(s)
-                    put_addr(writeback)
-                    put_write(1)
-                    put_kind(kind_code_of(writeback))
-                if not vn_hit:
-                    put_pos(s)
-                    put_addr(vn_line)
-                    put_write(0)
-                    put_kind(VN_CODE)
-                mac_hit, writeback = access(mac_line, write)
-                if writeback is not None:
-                    put_pos(s)
-                    put_addr(writeback)
-                    put_write(1)
-                    put_kind(kind_code_of(writeback))
-                if not mac_hit:
-                    put_pos(s)
-                    put_addr(mac_line)
-                    put_write(0)
-                    put_kind(MAC_CODE)
-                if not vn_hit:
-                    coverage = unit * arity
-                    for level in range(len(tree_bases)):
-                        if touch(s, tree_bases[level] + addr // coverage * line_bytes,
-                                 write, TREE_CODE):
-                            break
-                        coverage *= arity
-                rest = run_len[k] - 1
-                if rest:
-                    if coalesce_safe or (contains(vn_line) and contains(mac_line)):
-                        # the remaining requests of the run can only hit:
-                        # their whole cache effect is one LRU re-touch of
-                        # (VN, MAC) and an OR over their write bits
-                        rest_write = run_rest_write[k]
-                        retouch(vn_line, rest_write, rest)
-                        retouch(mac_line, rest_write, rest)
-                    else:  # pragma: no cover - needs a tree walk deep
-                        # enough to evict the just-filled VN/MAC lines
-                        for i in range(s + 1, s + 1 + rest):
-                            w_i = int(is_write[i])
-                            vn_hit = touch(i, vn_line, w_i, VN_CODE)
-                            touch(i, mac_line, w_i, MAC_CODE)
-                            if not vn_hit:
-                                coverage = unit * arity
-                                for level in range(len(tree_bases)):
-                                    if touch(i, tree_bases[level]
-                                             + addr // coverage * line_bytes,
-                                             w_i, TREE_CODE):
-                                        break
-                                    coverage *= arity
-                continue
-            # multi-unit request: singleton run through the full walk
+        for k, s in enumerate(starts.tolist()):
             write = run_write[k]
             for u in range(run_first[k], run_last[k] + 1):
                 addr = u * unit
-                vn_hit = touch(s, vn_base + u * line_bytes, write, VN_CODE)
-                touch(s, mac_base + addr // per_mac * line_bytes, write, MAC_CODE)
+                vn_line = vn_base + u * line_bytes
+                mac_line = mac_base + addr // per_mac * line_bytes
+                vn_hit = touch(s, vn_line, write, VN_CODE)
+                touch(s, mac_line, write, MAC_CODE)
                 if not vn_hit:
                     coverage = unit * arity
-                    for level in range(len(tree_bases)):
-                        if touch(s, tree_bases[level] + addr // coverage * line_bytes,
+                    for level_base in tree_bases:
+                        if touch(s, level_base + addr // coverage * line_bytes,
                                  write, TREE_CODE):
                             break
                         coverage *= arity
+            rest = run_len[k] - 1
+            if rest:
+                rest_write = run_rest_write[k]
+                retouch(vn_line, rest_write, rest)
+                retouch(mac_line, rest_write, rest)
         _scatter_assemble(out, batch, address, size, is_write,
                           ev_pos, ev_addr, ev_write, ev_kind, line_bytes)
-        return out
-
-    def _rewrite_batch_loop(self, batch: RequestBatch) -> RequestBatch:
-        """Per-request fallback (tiny batches, scalar mode)."""
-        out = RequestBatch()
-        line_bytes = self.params.line_bytes
-        unit = self.params.data_per_vn_line
-        per_mac = self.params.data_per_mac_line
-        access = self.cache.access
-        kind_code_of = self._kind_code_of
-        vn_base = self.regions.vn_base
-        mac_base = self.regions.mac_base
-        tree_bases = self.regions.tree_bases
-        arity = self.params.tree_arity
-
-        # metadata emissions of the current request, buffered so that
-        # all-hit requests (the streaming common case once the cache is
-        # warm) pass through as bulk verbatim array copies
-        events = []
-        emit = events.append
-
-        def touch(meta_address: int, write: int, kind_code: int) -> bool:
-            hit, writeback = access(meta_address, write)
-            if writeback is not None:
-                emit((writeback, 1, kind_code_of(writeback)))
-            if not hit:
-                emit((meta_address, 0, kind_code))
-            return hit
-
-        pending = 0  # start of the verbatim run not yet copied out
-        i = 0
-        for req_addr, req_size, req_write in zip(
-                batch.address, batch.size, batch.is_write):
-            first_unit = req_addr // unit
-            last_unit = (req_addr + req_size - 1) // unit
-            for u in range(first_unit, last_unit + 1):
-                addr = u * unit
-                vn_hit = touch(vn_base + u * line_bytes, req_write, VN_CODE)
-                touch(mac_base + (addr // per_mac) * line_bytes, req_write, MAC_CODE)
-                if not vn_hit:
-                    coverage = unit * arity
-                    for level in range(len(tree_bases)):
-                        if touch(tree_bases[level] + (addr // coverage) * line_bytes,
-                                 req_write, TREE_CODE):
-                            break
-                        coverage *= arity
-            i += 1
-            if events:
-                out.address.extend(batch.address[pending:i])
-                out.size.extend(batch.size[pending:i])
-                out.is_write.extend(batch.is_write[pending:i])
-                out.kind.extend(batch.kind[pending:i])
-                pending = i
-                for meta_address, write, kind_code in events:
-                    out.address.append(meta_address)
-                    out.size.append(line_bytes)
-                    out.is_write.append(write)
-                    out.kind.append(kind_code)
-                events.clear()
-        out.address.extend(batch.address[pending:])
-        out.size.extend(batch.size[pending:])
-        out.is_write.extend(batch.is_write[pending:])
-        out.kind.extend(batch.kind[pending:])
         return out
 
     def flush_batch(self) -> RequestBatch:

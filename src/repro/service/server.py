@@ -613,14 +613,28 @@ class ReproService:
         except JournalError as error:
             # an unusable journal must not wedge this flight key
             # forever: quarantine the evidence, restart from scratch
-            self.metrics.incr("journals_quarantined_total")
-            quarantined = journal_path + ".corrupt"
-            os.replace(journal_path, quarantined)
-            print(f"repro serve: quarantined unusable journal "
-                  f"{os.path.basename(journal_path)} -> "
-                  f"{os.path.basename(quarantined)} ({error})",
-                  file=sys.stderr, flush=True)
+            self._quarantine(journal_path, error)
             return SweepCoordinator(jobs, **kwargs)
+
+    def _quarantine(self, path: str, error: Exception) -> None:
+        """Set an unreadable journal or checkpoint aside as
+        ``<path>.corrupt`` and log it. Left in place it would be
+        re-parsed (and re-logged) on every restart; the renamed file
+        preserves the evidence. If the rename itself fails the file
+        stays where it is. Journals are counted in
+        ``journals_quarantined_total``."""
+        kind = "journal" if path.endswith(".journal") else "checkpoint"
+        if kind == "journal":
+            self.metrics.incr("journals_quarantined_total")
+        quarantined = path + ".corrupt"
+        try:
+            os.replace(path, quarantined)
+        except OSError:
+            quarantined = path
+        print(f"repro serve: quarantined unreadable {kind} "
+              f"{os.path.basename(path)} -> "
+              f"{os.path.basename(quarantined)} ({error})",
+              file=sys.stderr, flush=True)
 
     def _run_distributed(self, flight: Flight, jobs) -> list:
         """Execute one flight's jobs through a :class:`SweepCoordinator`
@@ -672,15 +686,7 @@ class ReproService:
             try:
                 meta = read_journal_meta(path)
             except JournalError as error:
-                self.metrics.incr("journals_quarantined_total")
-                quarantined = path + ".corrupt"
-                try:
-                    os.replace(path, quarantined)
-                except OSError:
-                    quarantined = path
-                print(f"repro serve: quarantined unreadable journal "
-                      f"{name} -> {os.path.basename(quarantined)} ({error})",
-                      file=sys.stderr, flush=True)
+                self._quarantine(path, error)
                 continue
             body = meta.get("request") if isinstance(meta, dict) else None
             if not isinstance(body, dict):
@@ -728,20 +734,9 @@ class ReproService:
             try:
                 state = load_checkpoint(path, kind="trace-pipeline")
             except CheckpointError as error:
-                # quarantine rather than skip: a corrupt/truncated/
-                # future-version envelope left in place would be
-                # re-parsed (and re-logged) on every restart, and a
-                # writer crash mid-publish must never look like "no
-                # checkpoint" silently — the .corrupt file preserves
-                # the evidence
-                quarantined = path + ".corrupt"
-                try:
-                    os.replace(path, quarantined)
-                except OSError:
-                    quarantined = path
-                print(f"repro serve: quarantined unreadable checkpoint "
-                      f"{name} -> {os.path.basename(quarantined)} ({error})",
-                      file=sys.stderr, flush=True)
+                # quarantine rather than skip: a writer crash
+                # mid-publish must never look like "no checkpoint"
+                self._quarantine(path, error)
                 continue
             meta = state.get("meta") or {}
             job_meta = meta.get("job") if isinstance(meta, dict) else None

@@ -64,11 +64,13 @@ class TestOrdering:
 class TestWorkerIndependence:
     def test_results_identical_across_worker_counts(self):
         serial = Runner(workers=1).run(SPEC)
-        parallel = Runner(workers=3).run(SPEC)
+        with Runner(workers=3) as runner:
+            parallel = runner.run(SPEC)
         assert serial == parallel
 
     def test_worker_count_does_not_leak_into_rows(self):
-        table = Runner(workers=2).run(SweepSpec(models=("alexnet",), schemes=("np",)))
+        with Runner(workers=2) as runner:
+            table = runner.run(SweepSpec(models=("alexnet",), schemes=("np",)))
         assert "workers" not in table.columns
 
 
@@ -92,7 +94,8 @@ class TestCacheIntegration:
 
     def test_parallel_run_populates_cache(self, tmp_path, no_memory_cache):
         cache = ResultCache(str(tmp_path))
-        Runner(workers=2, cache=cache).run(SPEC)
+        with Runner(workers=2, cache=cache) as runner:
+            runner.run(SPEC)
         cache2 = ResultCache(str(tmp_path))
         table = Runner(workers=1, cache=cache2).run(SPEC)
         assert cache2.misses == 0
@@ -187,7 +190,8 @@ class TestParallelSpeedup:
         serial = Runner(workers=1).run(jobs)
         t_serial = time.perf_counter() - t0
         t0 = time.perf_counter()
-        parallel = Runner(workers=4).run(jobs)
+        with Runner(workers=4) as runner:
+            parallel = runner.run(jobs)
         t_parallel = time.perf_counter() - t0
         assert parallel == serial
         assert t_serial / t_parallel >= 2.0

@@ -135,8 +135,8 @@ class TestJobFailureIdentity:
 
     def test_parallel_failure_names_the_job(self, fresh_memory_cache):
         jobs = [probe(0), probe(1, boom=True), probe(2), probe(3)]
-        runner = Runner(workers=2, chunksize=1)
-        with pytest.raises(JobExecutionError) as excinfo:
+        with Runner(workers=2, chunksize=1) as runner, \
+                pytest.raises(JobExecutionError) as excinfo:
             runner.run(jobs)
         error = excinfo.value
         assert error.job == jobs[1]
@@ -147,8 +147,7 @@ class TestJobFailureIdentity:
 
     def test_parallel_failure_invalidates_then_rebuilds_pool(
             self, fresh_memory_cache):
-        runner = Runner(workers=2, chunksize=1)
-        try:
+        with Runner(workers=2, chunksize=1) as runner:
             with pytest.raises(JobExecutionError):
                 runner.run([probe(10), probe(11, boom=True)])
             # the job's exception was caught inside its worker, so the
@@ -158,8 +157,6 @@ class TestJobFailureIdentity:
             table = runner.run([probe(12), probe(13)])
             assert [row["x"] for row in table.rows] == [12, 13]
             assert runner._pool is pool
-        finally:
-            runner.close()
 
     def test_retry_skips_preserved_rows(self, monkeypatch, tmp_path):
         # bypass the in-memory level so the on-disk persistence of the

@@ -58,7 +58,7 @@ def _table(rows_per_job) -> str:
     return table.to_json()
 
 
-def _start_worker(url, name, fault_delay=0.1):
+def _start_worker(url, name, fault_delay=0.1, reconnect_timeout=20.0):
     """Run a Worker on a daemon thread; returns (thread, outcome dict)."""
     outcome = {}
 
@@ -66,7 +66,7 @@ def _start_worker(url, name, fault_delay=0.1):
         try:
             worker = Worker(WorkerConfig(url=url, name=name, workers=1,
                                          log=False, fault_delay=fault_delay,
-                                         reconnect_timeout=20.0))
+                                         reconnect_timeout=reconnect_timeout))
             outcome["exit"] = worker.run()
         except BaseException as error:  # noqa: BLE001 — recorded for asserts
             outcome["error"] = error
@@ -217,3 +217,77 @@ def test_dropped_lease_requests_back_off_and_recover():
         faults.clear()
     assert _table(coordinator.run()) == reference
     assert coordinator.state.counters["units_completed"] == 2
+
+
+def test_committer_learns_done_from_its_commit_reply():
+    """The worker that commits the last unit is told ``done`` by the
+    commit reply itself. Its next lease request would arrive after the
+    coordinator has closed (delayed here, with a reconnect budget
+    shorter than the delay), so it must never need one."""
+    jobs = SPEC.jobs()[:1]
+    reference = _reference(jobs)
+
+    coordinator = SweepCoordinator(jobs, cache=None, local_workers=1,
+                                   unit_jobs=1, lease_seconds=5.0,
+                                   wait_workers=120.0)
+    faults.install({"points": [
+        {"site": "dist.lease@late", "at": 1, "action": "delay"}]})
+    try:
+        thread, outcome = _start_worker(coordinator.url, "late",
+                                        fault_delay=2.0,
+                                        reconnect_timeout=1.0)
+        rows_per_job = coordinator.run()
+        thread.join(timeout=60.0)
+        assert outcome.get("exit") == 0, outcome.get("error")
+    finally:
+        faults.clear()
+    assert _table(rows_per_job) == reference
+    assert coordinator.state.counters["lease_requests_total"] == 1
+
+
+def test_idle_worker_is_told_done_before_the_coordinator_closes(monkeypatch):
+    """A worker idling on ``wait`` while another commits the last unit
+    hears ``done`` before the listener closes: the coordinator answers
+    ``done`` until every live worker has been told (for at most one
+    lease term). The idle worker's post-commit lease is delayed and its
+    reconnect budget is short, so a coordinator that closed as soon as
+    the sweep finished would strand it with exit 1."""
+    jobs = SPEC.jobs()[:1]
+    reference = _reference(jobs)
+
+    coordinator = SweepCoordinator(jobs, cache=None, local_workers=1,
+                                   unit_jobs=1, lease_seconds=10.0,
+                                   wait_workers=120.0)
+    state = coordinator.state
+    told_wait = threading.Event()
+    lease, commit = state.lease, state.commit
+
+    def lease_noting_wait(worker):
+        reply = lease(worker)
+        if reply["event"] == "wait":
+            told_wait.set()
+        return reply
+
+    def commit_once_idle(*args, **kwargs):
+        # the only unit commits only after the other worker has idled
+        assert told_wait.wait(timeout=60.0)
+        return commit(*args, **kwargs)
+
+    monkeypatch.setattr(state, "lease", lease_noting_wait)
+    monkeypatch.setattr(state, "commit", commit_once_idle)
+    faults.install({"points": [
+        {"site": "dist.lease@idle", "at": 1, "action": "delay"}]})
+    try:
+        busy_thread, busy = _start_worker(coordinator.url, "busy")
+        _wait(lambda: state.counters["leases_granted"] == 1)
+        idle_thread, idle = _start_worker(coordinator.url, "idle",
+                                          fault_delay=1.0,
+                                          reconnect_timeout=0.5)
+        rows_per_job = coordinator.run()
+        busy_thread.join(timeout=60.0)
+        idle_thread.join(timeout=60.0)
+        assert busy.get("exit") == 0, busy.get("error")
+        assert idle.get("exit") == 0, idle.get("error")
+    finally:
+        faults.clear()
+    assert _table(rows_per_job) == reference

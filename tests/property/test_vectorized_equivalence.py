@@ -9,6 +9,8 @@ produce exactly the same bytes, request sequences, cycle counts, and
 tree states.
 """
 
+from contextlib import contextmanager
+
 from hypothesis import given, settings, strategies as st
 
 from repro import perf
@@ -22,6 +24,7 @@ from repro.crypto.sha256_fast import hmac_sha256_many, sha256_many
 from repro.mem.batch import RequestBatch
 from repro.mem.controller import MemoryController
 from repro.mem.trace import MemoryRequest, RequestKind
+from repro.protection.mee import MeeParams
 from repro.protection.merkle import MerkleTree
 from repro.protection.trace_rewriter import GuardNNTraceRewriter, MeeTraceRewriter
 
@@ -171,26 +174,57 @@ def test_request_batch_round_trip_and_stats(trace):
     assert stats.write_bytes == reference.write_bytes
 
 
+#: batch seams: cut points (clamped to the trace length, duplicates
+#: and zero allowed) that split one trace into several ``rewrite_batch``
+#: calls, empty batches included
+batch_seams = st.lists(st.integers(0, 60), max_size=4)
+
+
+@contextmanager
+def _perf_mode(fast):
+    previous = perf.fast_enabled()
+    perf.set_fast(fast)
+    try:
+        yield
+    finally:
+        perf.set_fast(previous)
+
+
+def _rewrite_in_batches(make_rewriter, trace, seams, fast):
+    """Build a rewriter and feed it ``trace`` as one ``rewrite_batch``
+    call per seam-delimited slice, then flush — all in the given perf
+    mode (the scalar mode builds the reference metadata cache too)."""
+    bounds = [0, *sorted(min(cut, len(trace)) for cut in seams), len(trace)]
+    with _perf_mode(fast):
+        rewriter = make_rewriter()
+        out = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            out += rewriter.rewrite_batch(
+                RequestBatch.from_requests(trace[lo:hi])).to_requests()
+        return out + rewriter.flush_batch().to_requests()
+
+
 @settings(max_examples=20, deadline=None)
-@given(trace=request_lists, integrity=st.booleans())
-def test_guardnn_rewriter_batch_matches_scalar(trace, integrity):
+@given(trace=request_lists, integrity=st.booleans(), seams=batch_seams)
+def test_guardnn_rewriter_batch_matches_scalar(trace, integrity, seams):
     scalar = GuardNNTraceRewriter(integrity=integrity)
-    batched = GuardNNTraceRewriter(integrity=integrity)
     reference = scalar.rewrite(trace) + scalar.flush()
-    out = batched.rewrite_batch(RequestBatch.from_requests(trace))
-    flushed = batched.flush_batch()
-    assert out.to_requests() + flushed.to_requests() == reference
+    for fast in (True, False):
+        assert _rewrite_in_batches(
+            lambda: GuardNNTraceRewriter(integrity=integrity),
+            trace, seams, fast) == reference
 
 
 @settings(max_examples=15, deadline=None)
-@given(trace=request_lists)
-def test_mee_rewriter_batch_matches_scalar(trace):
-    scalar = MeeTraceRewriter()
-    batched = MeeTraceRewriter()
+@given(trace=request_lists, seams=batch_seams,
+       params=st.sampled_from([MeeParams(), MeeParams(tree_arity=2)]))
+def test_mee_rewriter_batch_matches_scalar(trace, seams, params):
+    scalar = MeeTraceRewriter(params=params)
     reference = scalar.rewrite(trace) + scalar.flush()
-    out = batched.rewrite_batch(RequestBatch.from_requests(trace))
-    flushed = batched.flush_batch()
-    assert out.to_requests() + flushed.to_requests() == reference
+    for fast in (True, False):
+        assert _rewrite_in_batches(
+            lambda: MeeTraceRewriter(params=params),
+            trace, seams, fast) == reference
 
 
 @settings(max_examples=15, deadline=None)

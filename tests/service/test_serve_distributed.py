@@ -103,9 +103,10 @@ def test_zero_workers_falls_back_to_local_pool(fresh_memory_cache, tmp_path):
     try:
         events = []
         streamed = client.run(SWEEP_JOB, on_event=events.append)
-        direct = Runner(workers=2).run(
-            SweepSpec(models=tuple(SWEEP_SPEC["models"]),
-                      schemes=tuple(SWEEP_SPEC["schemes"])))
+        with Runner(workers=2) as runner:
+            direct = runner.run(
+                SweepSpec(models=tuple(SWEEP_SPEC["models"]),
+                          schemes=tuple(SWEEP_SPEC["schemes"])))
         assert streamed["table"]["rows"] == direct.rows
 
         # the flight announced its coordinator before executing
@@ -148,9 +149,10 @@ def test_parked_worker_serves_the_flight(fresh_memory_cache, tmp_path):
         checkpoint_dir=str(tmp_path))
     try:
         streamed = client.run(SWEEP_JOB)
-        direct = Runner(workers=2).run(
-            SweepSpec(models=tuple(SWEEP_SPEC["models"]),
-                      schemes=tuple(SWEEP_SPEC["schemes"])))
+        with Runner(workers=2) as runner:
+            direct = runner.run(
+                SweepSpec(models=tuple(SWEEP_SPEC["models"]),
+                          schemes=tuple(SWEEP_SPEC["schemes"])))
         assert streamed["table"]["rows"] == direct.rows
         # --dist-wait-workers held the local pool back, so the parked
         # worker must have registered and served every unit

@@ -91,9 +91,10 @@ class TestBitIdenticalResults:
     def test_sweep_matches_direct_runner(self, service_and_client):
         _, client = service_and_client
         streamed = client.run(SWEEP_JOB)
-        direct = Runner(workers=2).run(
-            SweepSpec(models=tuple(SWEEP_SPEC["models"]),
-                      schemes=tuple(SWEEP_SPEC["schemes"])))
+        with Runner(workers=2) as runner:
+            direct = runner.run(
+                SweepSpec(models=tuple(SWEEP_SPEC["models"]),
+                          schemes=tuple(SWEEP_SPEC["schemes"])))
         assert streamed["table"]["rows"] == direct.rows
         assert streamed["table"]["columns"] == direct.columns
 
